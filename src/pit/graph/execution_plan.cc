@@ -244,6 +244,19 @@ constexpr double kMinParallelStepWork = 64.0 * 1024 * 1024;
 
 }  // namespace
 
+void AccumulateStackStats(const PlanStats& layer, PlanStats* total) {
+  total->arena_bytes += layer.arena_bytes;
+  total->sum_temporary_bytes += layer.sum_temporary_bytes;
+  total->num_steps += layer.num_steps;
+  total->num_inplace += layer.num_inplace;
+  total->num_pit_steps += layer.num_pit_steps;
+  total->num_fused += layer.num_fused;
+  total->num_wavefronts += layer.num_wavefronts;
+  total->max_wavefront_width = std::max(total->max_wavefront_width, layer.max_wavefront_width);
+  total->parallel_step_work = std::max(total->parallel_step_work, layer.parallel_step_work);
+  total->wavefront_profitable = total->wavefront_profitable || layer.wavefront_profitable;
+}
+
 // ---- ExecutionContext -------------------------------------------------------
 
 ExecutionContext::ExecutionContext(const ExecutionPlan& plan) : plan_(&plan) {

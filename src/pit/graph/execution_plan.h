@@ -121,6 +121,11 @@ struct PlanStats {
   bool wavefront_profitable = false;
 };
 
+// Folds one layer plan's stats into a stack total: bytes and counts add, the
+// widest wave and the largest mean step work are maxima, and the stack is
+// wavefront-profitable when any layer is.
+void AccumulateStackStats(const PlanStats& layer, PlanStats* total);
+
 // How the last replay through a context ended. Kernels are uninterruptible,
 // so kCancelled means the replay stopped at a step/wavefront boundary (or
 // never started) after its cancel token fired: the context's arena holds a

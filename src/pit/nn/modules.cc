@@ -418,47 +418,11 @@ void TransformerEncoderLayer::ForwardInto(const Tensor& x, const Tensor* attn_ma
   std::copy(result.data(), result.data() + result.size(), out->data());
 }
 
-TransformerEncoderLayer::Stream TransformerEncoderLayer::MakeStream(int64_t tokens, bool masked,
-                                                                    bool pit) const {
-  Stream stream;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PlanEntry& entry = EntryFor(tokens, masked);
-    stream.plan = entry.graph->PlanShared(pit ? &entry.decisions : nullptr);
-  }
-  // The context and feed map are private to the stream: nothing below needs
-  // the lock, and the co-owning plan handle keeps the compiled plan alive
-  // even if the layer's plan cache is cleared or rebuilt behind it.
-  stream.ctx = std::make_unique<ExecutionContext>(*stream.plan);
-  stream.feeds = {{"x", nullptr}};
-  if (masked) {
-    stream.feeds.emplace("mask", nullptr);
-  }
-  stream.tokens = tokens;
-  stream.masked = masked;
-  return stream;
-}
-
-void TransformerEncoderLayer::ForwardWith(Stream& stream, const Tensor& x,
-                                          const Tensor* attn_mask, PitCompiler* compiler,
-                                          Tensor* out) const {
-  PIT_CHECK(stream.plan != nullptr && stream.ctx != nullptr) << "stream not initialized";
-  PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK(x.dim(0) == stream.tokens && x.dim(1) == ln1_gamma_.dim(0))
-      << "input shape does not match the stream's plan";
-  PIT_CHECK((attn_mask != nullptr) == stream.masked)
-      << "mask presence does not match the stream's plan";
-  PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
-  stream.feeds["x"] = &x;
-  if (attn_mask != nullptr) {
-    PIT_CHECK(attn_mask->rank() == 2 && attn_mask->dim(0) == x.dim(0) &&
-              attn_mask->dim(1) == x.dim(0))
-        << "attention mask must be [tokens, tokens]";
-    stream.feeds["mask"] = attn_mask;
-  }
-  ConstTensorView result = stream.plan->RunWith(*stream.ctx, stream.feeds, compiler);
-  std::copy(result.data(), result.data() + result.size(), out->data());
+std::shared_ptr<ExecutionPlan> TransformerEncoderLayer::SharedPlan(int64_t tokens, bool masked,
+                                                                   bool pit) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  PlanEntry& entry = EntryFor(tokens, masked);
+  return entry.graph->PlanShared(pit ? &entry.decisions : nullptr);
 }
 
 Tensor TransformerEncoderLayer::Forward(const Tensor& x, const Tensor* attn_mask) const {

@@ -188,28 +188,13 @@ class TransformerEncoderLayer {
   void ForwardInto(const Tensor& x, const Tensor* attn_mask, PitCompiler* compiler,
                    Tensor* out) const;
 
-  // Per-stream replay state over the layer's shared compiled plan for one
-  // (tokens, masked?) shape: a co-owning plan handle, a private
-  // ExecutionContext, and a private feed map. Distinct streams replay the
-  // same immutable plan concurrently with zero shared mutable state — the
-  // multi-stream serving seam. Movable so callers can pool streams.
-  struct Stream {
-    std::shared_ptr<ExecutionPlan> plan;
-    std::unique_ptr<ExecutionContext> ctx;
-    std::map<std::string, const Tensor*> feeds;
-    int64_t tokens = 0;
-    bool masked = false;
-  };
-  // Builds a stream for (tokens, masked?), compiling and caching the shared
-  // plan if needed (the only part that takes the module lock). `pit` compiles
-  // the plan with this layer's PIT-pass decisions; its replay then needs a
-  // compiler, one per concurrent stream.
-  Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
-  // Lock-free forward over a stream's private context: safe to call
-  // concurrently with any other stream's ForwardWith on this layer, bitwise
-  // identical to ForwardInto. Steady-state dense calls allocate nothing.
-  void ForwardWith(Stream& stream, const Tensor& x, const Tensor* attn_mask,
-                   PitCompiler* compiler, Tensor* out) const;
+  // The shared compiled plan for (tokens, masked?), compiled and cached if
+  // needed (takes the module lock). The co-owning handle keeps the plan
+  // alive across cache eviction, so callers can replay it through their own
+  // ExecutionContexts concurrently (PlannedStack streams, the multi-stream
+  // serving seam). `pit` selects the plan with this layer's PIT-pass
+  // decisions; its replay then needs a compiler, one per concurrent stream.
+  std::shared_ptr<ExecutionPlan> SharedPlan(int64_t tokens, bool masked, bool pit = false) const;
   // The pre-planning composition (eager attention + explicit FFN ops), kept
   // as the differential oracle and the eager bench baseline.
   Tensor ForwardEager(const Tensor& x, const Tensor* attn_mask = nullptr) const;

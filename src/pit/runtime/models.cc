@@ -632,6 +632,82 @@ ModelRunCost SparseTrainingRun(const CostModel& model, Engine engine,
   return run;
 }
 
+// ---- PlannedStack ----------------------------------------------------------
+
+PlannedStack::~PlannedStack() = default;
+
+int64_t PlannedStack::Stream::ArenaBytes() const {
+  int64_t total = 0;
+  for (const Layer& layer : layers) {
+    total += layer.ctx->arena_bytes();
+  }
+  return total;
+}
+
+void PlannedStack::Stream::SetCancelToken(const CancelToken* token) {
+  for (Layer& layer : layers) {
+    layer.ctx->set_cancel_token(token);
+  }
+}
+
+PlannedStack::Stream PlannedStack::AssembleStream(
+    std::vector<std::shared_ptr<ExecutionPlan>> plans, int64_t tokens, bool masked) const {
+  // Contexts, feeds, and staging are private to the stream; the co-owning
+  // plan handles keep the compiled plans alive across cache eviction.
+  Stream stream;
+  stream.layers.reserve(plans.size());
+  for (std::shared_ptr<ExecutionPlan>& plan : plans) {
+    Stream::Layer layer;
+    layer.ctx = std::make_unique<ExecutionContext>(*plan);
+    layer.plan = std::move(plan);
+    layer.feeds = {{"x", nullptr}};
+    if (masked) {
+      layer.feeds.emplace("mask", nullptr);
+    }
+    stream.layers.push_back(std::move(layer));
+  }
+  // One staging slot per layer but the last, which writes straight into the
+  // caller's output.
+  for (size_t l = 0; l + 1 < stream.layers.size(); ++l) {
+    stream.staging.emplace_back(Shape{tokens, hidden_});
+  }
+  stream.tokens = tokens;
+  stream.masked = masked;
+  return stream;
+}
+
+void PlannedStack::ForwardWith(Stream& stream, const Tensor& x, const Tensor* attn_mask,
+                               PitCompiler* compiler, Tensor* out) const {
+  PIT_CHECK(!stream.layers.empty()) << "stream not initialized";
+  PIT_CHECK_EQ(x.rank(), 2);
+  PIT_CHECK(x.dim(0) == stream.tokens && x.dim(1) == hidden_)
+      << "input shape does not match the stream's plans";
+  PIT_CHECK((attn_mask != nullptr) == stream.masked)
+      << "mask presence does not match the stream's plans";
+  if (attn_mask != nullptr) {
+    PIT_CHECK(attn_mask->rank() == 2 && attn_mask->dim(0) == x.dim(0) &&
+              attn_mask->dim(1) == x.dim(0))
+        << "attention mask must be [tokens, tokens]";
+  }
+  PIT_CHECK(out != nullptr);
+  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
+  const Tensor* cur = &x;
+  for (size_t l = 0; l < stream.layers.size(); ++l) {
+    Stream::Layer& layer = stream.layers[l];
+    layer.feeds["x"] = cur;
+    if (attn_mask != nullptr) {
+      layer.feeds["mask"] = attn_mask;
+    }
+    ConstTensorView res = layer.plan->RunWith(*layer.ctx, layer.feeds, compiler);
+    // Stage into the stream-private buffer (the caller's `out` for the last
+    // layer): the next layer binds it as its feed while this layer's arena
+    // is reused. Steady-state forwards allocate nothing.
+    Tensor* dst = l + 1 < stream.layers.size() ? &stream.staging[l] : out;
+    std::copy(res.data(), res.data() + res.size(), dst->data());
+    cur = dst;
+  }
+}
+
 // ---- PlannedFfnStack -------------------------------------------------------
 
 namespace {
@@ -644,7 +720,7 @@ Tensor StackInit(int64_t in, int64_t out, Rng& rng) {
 }  // namespace
 
 PlannedFfnStack::PlannedFfnStack(int64_t layers, int64_t hidden, int64_t ffn_hidden, Rng& rng)
-    : hidden_(hidden) {
+    : PlannedStack(hidden) {
   PIT_CHECK_GT(layers, 0);
   weights_.reserve(static_cast<size_t>(layers));
   for (int64_t l = 0; l < layers; ++l) {
@@ -676,7 +752,7 @@ PlannedFfnStack::TokenEntry& PlannedFfnStack::EntryFor(int64_t tokens) const {
   entry.outs.reserve(weights_.size());
   for (const LayerWeights& w : weights_) {
     auto g = std::make_unique<Graph>();
-    const int x = g->AddInput("x", {tokens, hidden_});
+    const int x = g->AddInput("x", {tokens, hidden()});
     const int w_up = g->AddWeightRef("w_up", &w.w_up);
     const int b_up = g->AddWeightRef("b_up", &w.b_up);
     const int w_down = g->AddWeightRef("w_down", &w.w_down);
@@ -688,7 +764,7 @@ PlannedFfnStack::TokenEntry& PlannedFfnStack::EntryFor(int64_t tokens) const {
     g->PropagateSparsity();
     entry.decisions.push_back(g->PitPass());
     entry.graphs.push_back(std::move(g));
-    entry.outs.emplace_back(Shape{tokens, hidden_});
+    entry.outs.emplace_back(Shape{tokens, hidden()});
   }
   entry.feeds = {{"x", nullptr}};
   return entries_.emplace(tokens, std::move(entry)).first->second;
@@ -696,7 +772,7 @@ PlannedFfnStack::TokenEntry& PlannedFfnStack::EntryFor(int64_t tokens) const {
 
 Tensor PlannedFfnStack::RunPlanned(const Tensor& x, PitCompiler* compiler) const {
   PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK_EQ(x.dim(1), hidden_);
+  PIT_CHECK_EQ(x.dim(1), hidden());
   // Plans share one arena + staging buffer set per shape: serialize forwards.
   std::lock_guard<std::mutex> lock(mu_);
   TokenEntry& entry = EntryFor(x.dim(0));
@@ -715,60 +791,18 @@ Tensor PlannedFfnStack::RunPlanned(const Tensor& x, PitCompiler* compiler) const
   return *cur;  // value copy for the caller; staging stays reusable
 }
 
-int64_t PlannedFfnStack::Stream::ArenaBytes() const {
-  int64_t total = 0;
-  for (const auto& ctx : contexts) {
-    total += ctx->arena_bytes();
-  }
-  return total;
-}
-
-PlannedFfnStack::Stream PlannedFfnStack::MakeStream(int64_t tokens, bool pit) const {
-  Stream stream;
+PlannedStack::Stream PlannedFfnStack::MakeStream(int64_t tokens, bool masked, bool pit) const {
+  PIT_CHECK(!masked) << "FFN stacks take no attention mask";
+  std::vector<std::shared_ptr<ExecutionPlan>> plans;
   {
     std::lock_guard<std::mutex> lock(mu_);
     TokenEntry& entry = EntryFor(tokens);
-    stream.plans.reserve(entry.graphs.size());
+    plans.reserve(entry.graphs.size());
     for (size_t l = 0; l < entry.graphs.size(); ++l) {
-      stream.plans.push_back(
-          entry.graphs[l]->PlanShared(pit ? &entry.decisions[l] : nullptr));
+      plans.push_back(entry.graphs[l]->PlanShared(pit ? &entry.decisions[l] : nullptr));
     }
   }
-  // Contexts, feeds, and staging are private to the stream; the co-owning
-  // plan handles keep the compiled plans alive across cache eviction.
-  stream.contexts.reserve(stream.plans.size());
-  for (const auto& plan : stream.plans) {
-    stream.contexts.push_back(std::make_unique<ExecutionContext>(*plan));
-  }
-  // One staging slot per layer but the last, which writes straight into the
-  // caller's output.
-  for (size_t l = 0; l + 1 < stream.plans.size(); ++l) {
-    stream.staging.emplace_back(Shape{tokens, hidden_});
-  }
-  stream.feeds = {{"x", nullptr}};
-  stream.tokens = tokens;
-  return stream;
-}
-
-void PlannedFfnStack::ForwardWith(Stream& stream, const Tensor& x, PitCompiler* compiler,
-                                  Tensor* out) const {
-  PIT_CHECK(!stream.plans.empty()) << "stream not initialized";
-  PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK(x.dim(0) == stream.tokens && x.dim(1) == hidden_)
-      << "input shape does not match the stream's plans";
-  PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
-  const Tensor* cur = &x;
-  for (size_t l = 0; l < stream.plans.size(); ++l) {
-    stream.feeds["x"] = cur;
-    ConstTensorView res = stream.plans[l]->RunWith(*stream.contexts[l], stream.feeds, compiler);
-    // Stage into the stream-private buffer (the caller's `out` for the last
-    // layer): the next layer binds it as its feed while this layer's arena
-    // is reused. Steady-state forwards allocate nothing.
-    Tensor* dst = l + 1 < stream.plans.size() ? &stream.staging[l] : out;
-    std::copy(res.data(), res.data() + res.size(), dst->data());
-    cur = dst;
-  }
+  return AssembleStream(std::move(plans), tokens, /*masked=*/false);
 }
 
 Tensor PlannedFfnStack::Forward(const Tensor& x) const { return RunPlanned(x, nullptr); }
@@ -790,17 +824,7 @@ PlanStats PlannedFfnStack::StatsFor(int64_t tokens) const {
   TokenEntry& entry = EntryFor(tokens);
   PlanStats total;
   for (const auto& g : entry.graphs) {
-    const PlanStats& s = g->Plan().stats();
-    total.arena_bytes += s.arena_bytes;
-    total.sum_temporary_bytes += s.sum_temporary_bytes;
-    total.num_steps += s.num_steps;
-    total.num_inplace += s.num_inplace;
-    total.num_pit_steps += s.num_pit_steps;
-    total.num_fused += s.num_fused;
-    total.num_wavefronts += s.num_wavefronts;
-    total.max_wavefront_width = std::max(total.max_wavefront_width, s.max_wavefront_width);
-    total.parallel_step_work = std::max(total.parallel_step_work, s.parallel_step_work);
-    total.wavefront_profitable = total.wavefront_profitable || s.wavefront_profitable;
+    AccumulateStackStats(g->Plan().stats(), &total);
   }
   return total;
 }
@@ -809,7 +833,7 @@ PlanStats PlannedFfnStack::StatsFor(int64_t tokens) const {
 
 PlannedTransformerStack::PlannedTransformerStack(int64_t layers, int64_t hidden, int64_t heads,
                                                  int64_t ffn_hidden, Rng& rng)
-    : hidden_(hidden) {
+    : PlannedStack(hidden) {
   PIT_CHECK_GT(layers, 0);
   layers_.reserve(static_cast<size_t>(layers));
   for (int64_t l = 0; l < layers; ++l) {
@@ -829,7 +853,7 @@ Tensor PlannedTransformerStack::RunPlanned(const Tensor& x, const Tensor* attn_m
 void PlannedTransformerStack::ForwardInto(const Tensor& x, const Tensor* attn_mask,
                                           PitCompiler* compiler, Tensor* out) const {
   PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK_EQ(x.dim(1), hidden_);
+  PIT_CHECK_EQ(x.dim(1), hidden());
   PIT_CHECK(out != nullptr);
   PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
   // Staging buffers are shared per shape: serialize forwards. Each layer's
@@ -846,7 +870,7 @@ void PlannedTransformerStack::ForwardInto(const Tensor& x, const Tensor* attn_ma
     std::vector<Tensor> outs;
     outs.reserve(layers_.size());
     for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-      outs.emplace_back(Shape{x.dim(0), hidden_});
+      outs.emplace_back(Shape{x.dim(0), hidden()});
     }
     it = staging_.emplace(x.dim(0), std::move(outs)).first;
   }
@@ -862,49 +886,14 @@ void PlannedTransformerStack::ForwardInto(const Tensor& x, const Tensor* attn_ma
   }
 }
 
-int64_t PlannedTransformerStack::Stream::ArenaBytes() const {
-  int64_t total = 0;
-  for (const auto& layer : layers) {
-    total += layer.ctx->arena_bytes();
-  }
-  return total;
-}
-
-PlannedTransformerStack::Stream PlannedTransformerStack::MakeStream(int64_t tokens, bool masked,
-                                                                    bool pit) const {
-  Stream stream;
-  stream.layers.reserve(layers_.size());
+PlannedStack::Stream PlannedTransformerStack::MakeStream(int64_t tokens, bool masked,
+                                                         bool pit) const {
+  std::vector<std::shared_ptr<ExecutionPlan>> plans;
+  plans.reserve(layers_.size());
   for (const auto& layer : layers_) {
-    stream.layers.push_back(layer->MakeStream(tokens, masked, pit));
+    plans.push_back(layer->SharedPlan(tokens, masked, pit));
   }
-  // One staging slot per layer but the last, which writes straight into the
-  // caller's output. Private to the stream — no stack lock anywhere on this
-  // path (each layer's MakeStream took its own plan-cache lock above).
-  for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-    stream.staging.emplace_back(Shape{tokens, hidden_});
-  }
-  stream.tokens = tokens;
-  stream.masked = masked;
-  return stream;
-}
-
-void PlannedTransformerStack::ForwardWith(Stream& stream, const Tensor& x,
-                                          const Tensor* attn_mask, PitCompiler* compiler,
-                                          Tensor* out) const {
-  PIT_CHECK_EQ(stream.layers.size(), layers_.size()) << "stream not initialized for this stack";
-  PIT_CHECK_EQ(x.rank(), 2);
-  PIT_CHECK(x.dim(0) == stream.tokens && x.dim(1) == hidden_)
-      << "input shape does not match the stream's plans";
-  PIT_CHECK((attn_mask != nullptr) == stream.masked)
-      << "mask presence does not match the stream's plans";
-  PIT_CHECK(out != nullptr);
-  PIT_CHECK(out->dim(0) == x.dim(0) && out->dim(1) == x.dim(1));
-  const Tensor* cur = &x;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    Tensor* dst = l + 1 < layers_.size() ? &stream.staging[l] : out;
-    layers_[l]->ForwardWith(stream.layers[l], *cur, attn_mask, compiler, dst);
-    cur = dst;
-  }
+  return AssembleStream(std::move(plans), tokens, masked);
 }
 
 Tensor PlannedTransformerStack::Forward(const Tensor& x, const Tensor* attn_mask) const {
@@ -927,17 +916,7 @@ Tensor PlannedTransformerStack::ForwardEager(const Tensor& x, const Tensor* attn
 PlanStats PlannedTransformerStack::StatsFor(int64_t tokens, bool masked) const {
   PlanStats total;
   for (const auto& layer : layers_) {
-    const PlanStats s = layer->PlanStatsFor(tokens, masked);
-    total.arena_bytes += s.arena_bytes;
-    total.sum_temporary_bytes += s.sum_temporary_bytes;
-    total.num_steps += s.num_steps;
-    total.num_inplace += s.num_inplace;
-    total.num_pit_steps += s.num_pit_steps;
-    total.num_fused += s.num_fused;
-    total.num_wavefronts += s.num_wavefronts;
-    total.max_wavefront_width = std::max(total.max_wavefront_width, s.max_wavefront_width);
-    total.parallel_step_work = std::max(total.parallel_step_work, s.parallel_step_work);
-    total.wavefront_profitable = total.wavefront_profitable || s.wavefront_profitable;
+    AccumulateStackStats(layer->PlanStatsFor(tokens, masked), &total);
   }
   return total;
 }

@@ -112,21 +112,80 @@ ModelRunCost SparseTrainingRun(const CostModel& model, Engine engine,
 
 // ---- Planned real-tensor execution ----------------------------------------
 //
+// The stack interface the serving engine drives: a stack of planned layers,
+// each a cached ExecutionPlan over weights referenced in place, replayed one
+// after another through per-stream state. Both stacks below share it, so
+// every caller that only serves (the ServingEngine, benches) has one code
+// path whatever the stack's layers compute.
+class PlannedStack {
+ public:
+  // Per-stream replay state over the stack's shared compiled plans for one
+  // (tokens, masked?) shape: per layer a co-owning plan handle, a private
+  // ExecutionContext and a private feed map, plus private staging between
+  // layers. Distinct streams forward concurrently over the same plans with
+  // zero shared mutable state. Movable, so callers can pool streams.
+  struct Stream {
+    struct Layer {
+      std::shared_ptr<ExecutionPlan> plan;
+      std::unique_ptr<ExecutionContext> ctx;
+      std::map<std::string, const Tensor*> feeds;
+    };
+    std::vector<Layer> layers;
+    std::vector<Tensor> staging;  // layers-1 buffers; the last layer writes `out`
+    int64_t tokens = 0;
+    bool masked = false;
+    // Arena bytes the stream's contexts pin (for serving-pool accounting).
+    int64_t ArenaBytes() const;
+    int64_t NumContexts() const { return static_cast<int64_t>(layers.size()); }
+    // Installs one shared cancel token on every layer context, so a token
+    // fired mid-forward stops the remaining layers' replays at their next
+    // step boundary (cancellation.h). Borrowed: the token must outlive every
+    // ForwardWith. Re-installing the same pointer is free (pooled streams).
+    void SetCancelToken(const CancelToken* token);
+  };
+
+  explicit PlannedStack(int64_t hidden) : hidden_(hidden) {}
+  virtual ~PlannedStack();
+  // Plans reference the stack's weights in place: the object is pinned.
+  PlannedStack(const PlannedStack&) = delete;
+  PlannedStack& operator=(const PlannedStack&) = delete;
+
+  int64_t hidden() const { return hidden_; }
+  // Whether forwards accept a [tokens, tokens] attention mask.
+  virtual bool takes_mask() const = 0;
+  // Builds a stream for (tokens, masked?), compiling/caching the shared plans
+  // if needed (the only part that takes a lock). `masked` requires
+  // takes_mask(). `pit` plans the layers with their PIT-pass decisions;
+  // replay then needs one compiler per concurrent stream.
+  virtual Stream MakeStream(int64_t tokens, bool masked, bool pit) const = 0;
+  // Lock-free forward over a stream's private contexts: safe concurrently
+  // with other streams' ForwardWith, bitwise identical to the stack's
+  // Forward. x: [tokens, hidden]; mask: [tokens, tokens] iff the stream is
+  // masked; `compiler` nullptr runs dense; `out` is preallocated.
+  void ForwardWith(Stream& stream, const Tensor& x, const Tensor* attn_mask,
+                   PitCompiler* compiler, Tensor* out) const;
+
+ protected:
+  // The shape-independent half of MakeStream: fresh contexts, feed maps and
+  // staging over the given per-layer plans.
+  Stream AssembleStream(std::vector<std::shared_ptr<ExecutionPlan>> plans, int64_t tokens,
+                        bool masked) const;
+
+ private:
+  int64_t hidden_ = 0;
+};
+
 // Unlike the cost functions above (which price simulated latency), this is a
 // functional model trunk — an OPT-style stack of residual FFN blocks
 // (x + Down(ReLU(Up(x)))) on real tensors — whose per-layer forwards replay
 // cached ExecutionPlans: graphs are compiled once per token count, weights
 // are referenced in place, intermediates live in reused arenas, and the PIT
 // variant dispatches each layer's sparse down-projection through the
-// compiler's per-site kernel handles. This is the serving-side execution
-// seam later batching/multi-stream work builds on.
-class PlannedFfnStack {
+// compiler's per-site kernel handles.
+class PlannedFfnStack : public PlannedStack {
  public:
   PlannedFfnStack(int64_t layers, int64_t hidden, int64_t ffn_hidden, Rng& rng);
-  ~PlannedFfnStack();
-  // Plans reference the stack's weights in place: the object is pinned.
-  PlannedFfnStack(const PlannedFfnStack&) = delete;
-  PlannedFfnStack& operator=(const PlannedFfnStack&) = delete;
+  ~PlannedFfnStack() override;
 
   // Planned dense forward; x: [tokens, hidden].
   Tensor Forward(const Tensor& x) const;
@@ -137,43 +196,22 @@ class PlannedFfnStack {
   // differential oracle and the bench baseline for the planned path.
   Tensor ForwardEager(const Tensor& x) const;
 
-  // Per-stream replay state over the stack's shared compiled plans for one
-  // token count: a co-owning plan handle + private ExecutionContext + feed
-  // map per layer, plus private staging buffers. Distinct streams forward
-  // concurrently over the same plans with zero shared mutable state.
-  struct Stream {
-    std::vector<std::shared_ptr<ExecutionPlan>> plans;          // one per layer
-    std::vector<std::unique_ptr<ExecutionContext>> contexts;    // one per layer
-    std::map<std::string, const Tensor*> feeds;
-    std::vector<Tensor> staging;  // per-layer output staging, allocated once
-    int64_t tokens = 0;
-    // Arena bytes the stream's contexts pin (for serving-pool accounting).
-    int64_t ArenaBytes() const;
-    int64_t NumContexts() const { return static_cast<int64_t>(contexts.size()); }
-    // Installs one shared cancel token on every layer context, so a token
-    // fired mid-forward stops the remaining layers' replays at their next
-    // step boundary (cancellation.h). Borrowed: the token must outlive every
-    // ForwardWith. Re-installing the same pointer is free (pooled streams).
-    void SetCancelToken(const CancelToken* token) {
-      for (std::unique_ptr<ExecutionContext>& ctx : contexts) {
-        ctx->set_cancel_token(token);
-      }
-    }
-  };
-  // Builds a stream for `tokens`, compiling/caching the shared plans if
-  // needed (the only part that takes the stack lock). `pit` plans the layers
-  // with their PIT-pass decisions; replay then needs one compiler per
-  // concurrent stream.
-  Stream MakeStream(int64_t tokens, bool pit = false) const;
-  // Lock-free forward over a stream's private contexts: safe concurrently
-  // with other streams' ForwardWith, bitwise identical to Forward.
-  void ForwardWith(Stream& stream, const Tensor& x, PitCompiler* compiler, Tensor* out) const;
+  // FFN blocks have no attention: streams are never masked.
+  bool takes_mask() const override { return false; }
+  Stream MakeStream(int64_t tokens, bool masked, bool pit) const override;
+  // Unmasked shorthands for the stack interface.
+  Stream MakeStream(int64_t tokens, bool pit = false) const {
+    return MakeStream(tokens, false, pit);
+  }
+  using PlannedStack::ForwardWith;
+  void ForwardWith(Stream& stream, const Tensor& x, PitCompiler* compiler, Tensor* out) const {
+    ForwardWith(stream, x, nullptr, compiler, out);
+  }
 
   // Aggregate memory-planning stats over the dense plans for this token
   // count (compiles them if needed).
   PlanStats StatsFor(int64_t tokens) const;
   int64_t layers() const { return static_cast<int64_t>(weights_.size()); }
-  int64_t hidden() const { return hidden_; }
 
  private:
   struct LayerWeights {
@@ -188,7 +226,6 @@ class PlannedFfnStack {
   TokenEntry& EntryFor(int64_t tokens) const;
   Tensor RunPlanned(const Tensor& x, PitCompiler* compiler) const;
 
-  int64_t hidden_ = 0;
   std::vector<LayerWeights> weights_;
   mutable std::map<int64_t, TokenEntry> entries_;  // keyed by token count, bounded
   mutable std::mutex mu_;  // forwards share plan arenas; serialize them
@@ -203,14 +240,11 @@ class PlannedFfnStack {
 // compiled arena steps. Steady-state dense forwards perform ~zero heap
 // allocations: layer outputs stage into per-token-count buffers allocated
 // once, and each layer's plan reuses its own arena.
-class PlannedTransformerStack {
+class PlannedTransformerStack : public PlannedStack {
  public:
   PlannedTransformerStack(int64_t layers, int64_t hidden, int64_t heads, int64_t ffn_hidden,
                           Rng& rng);
-  ~PlannedTransformerStack();
-  // Plans reference the layers' weights in place: the object is pinned.
-  PlannedTransformerStack(const PlannedTransformerStack&) = delete;
-  PlannedTransformerStack& operator=(const PlannedTransformerStack&) = delete;
+  ~PlannedTransformerStack() override;
 
   // Planned dense forward; x: [tokens, hidden], mask: [tokens, tokens] or
   // nullptr (shared by every layer).
@@ -230,47 +264,18 @@ class PlannedTransformerStack {
   // differential oracle and the bench baseline for the planned path.
   Tensor ForwardEager(const Tensor& x, const Tensor* attn_mask = nullptr) const;
 
-  // Per-stream replay state over the stack's shared compiled plans for one
-  // (tokens, masked?) shape: a layer stream per encoder block plus private
-  // staging buffers. ForwardWith over distinct streams is concurrency-safe
-  // and bitwise identical to single-stream Forward — the ServingEngine's
-  // execution seam.
-  struct Stream {
-    std::vector<TransformerEncoderLayer::Stream> layers;
-    std::vector<Tensor> staging;  // layers-1 buffers; last layer writes `out`
-    int64_t tokens = 0;
-    bool masked = false;
-    // Arena bytes the stream's contexts pin (for serving-pool accounting).
-    int64_t ArenaBytes() const;
-    int64_t NumContexts() const { return static_cast<int64_t>(layers.size()); }
-    // Installs one shared cancel token on every layer's context (see the
-    // PlannedFfnStack::Stream overload for the lifetime contract).
-    void SetCancelToken(const CancelToken* token) {
-      for (TransformerEncoderLayer::Stream& layer : layers) {
-        layer.ctx->set_cancel_token(token);
-      }
-    }
-  };
-  // Builds a stream for (tokens, masked?), compiling/caching the layers'
-  // shared plans if needed (locks each layer's plan cache once). `pit` plans
-  // the blocks with their PIT decisions; replay then needs one compiler per
-  // concurrent stream.
-  Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const;
-  // Lock-free forward over a stream's private contexts: safe concurrently
-  // with other streams' ForwardWith, bitwise identical to Forward/ForwardInto.
-  void ForwardWith(Stream& stream, const Tensor& x, const Tensor* attn_mask,
-                   PitCompiler* compiler, Tensor* out) const;
+  bool takes_mask() const override { return true; }
+  // Locks each layer's plan cache once.
+  Stream MakeStream(int64_t tokens, bool masked, bool pit = false) const override;
 
   // Aggregate memory-planning stats over the layers' dense plans for this
   // shape (compiles them if needed).
   PlanStats StatsFor(int64_t tokens, bool masked = false) const;
   int64_t layers() const { return static_cast<int64_t>(layers_.size()); }
-  int64_t hidden() const { return hidden_; }
 
  private:
   Tensor RunPlanned(const Tensor& x, const Tensor* attn_mask, PitCompiler* compiler) const;
 
-  int64_t hidden_ = 0;
   std::vector<std::unique_ptr<TransformerEncoderLayer>> layers_;
   // Per-layer output staging, allocated once per token count (bounded).
   mutable std::map<int64_t, std::vector<Tensor>> staging_;

@@ -125,32 +125,6 @@ bool AllFinite(const Tensor& t) {
   return true;
 }
 
-// The padded token count a pool entry is keyed by, for the per-bucket pool
-// accounting (the transformer pool's key carries a masked flag on top).
-int64_t BucketOfPoolKey(const std::pair<int64_t, bool>& key) { return key.first; }
-int64_t BucketOfPoolKey(int64_t key) { return key; }
-
-// Pooled-plan verification (PIT_VERIFY_PLAN): a stream entering the pool
-// replays its plans for the rest of the engine's lifetime, so the invariants
-// concurrent replay rides on are proven once at pool entry. The compile hook
-// already verified freshly compiled plans; this catches pool entries built
-// from plans cached before the knob engaged.
-void VerifyPooledPlans(const PlannedTransformerStack::Stream& pooled) {
-  for (const TransformerEncoderLayer::Stream& layer : pooled.layers) {
-    if (layer.plan != nullptr) {
-      VerifyPlanOrDie(*layer.plan, "ServingEngine pooled transformer plan");
-    }
-  }
-}
-
-void VerifyPooledPlans(const PlannedFfnStack::Stream& pooled) {
-  for (const std::shared_ptr<ExecutionPlan>& plan : pooled.plans) {
-    if (plan != nullptr) {
-      VerifyPlanOrDie(*plan, "ServingEngine pooled FFN plan");
-    }
-  }
-}
-
 }  // namespace
 
 const char* ServeStatusName(ServeStatus status) {
@@ -212,13 +186,13 @@ std::string ServingEngineStats::ToString() const {
 // ever touched by another stream.
 struct ServingEngine::StreamState {
   // Reused packed tiles for one bucket: requests gather into x, the plan
-  // replays into out, and (transformer only) the block-diagonal mask is
-  // rebuilt in place per batch. Keyed by bucket so steady-state batching
-  // allocates nothing.
+  // replays into out, and (stacks that take a mask) the block-diagonal mask
+  // is rebuilt in place per batch. Keyed by bucket so steady-state batching
+  // allocates nothing; a batch of one that fills its bucket never stages.
   struct BatchStaging {
     Tensor x;     // [bucket, hidden]
     Tensor out;   // [bucket, hidden]
-    Tensor mask;  // [bucket, bucket], transformer stacks only
+    Tensor mask;  // [bucket, bucket], masked stacks only
   };
   struct BucketCounters {
     int64_t batches = 0;
@@ -229,8 +203,7 @@ struct ServingEngine::StreamState {
     int64_t plan_misses = 0;
   };
 
-  std::map<std::pair<int64_t, bool>, PlannedTransformerStack::Stream> transformer_pool;
-  std::map<int64_t, PlannedFfnStack::Stream> ffn_pool;
+  std::map<PoolKey, PlannedStack::Stream> pool;
   std::unique_ptr<PitCompiler> compiler;
   std::map<int64_t, BatchStaging> staging;
   std::map<int64_t, BucketCounters> bucket_counters;
@@ -259,18 +232,8 @@ struct ServingEngine::StreamState {
   std::atomic<int64_t> hb_bucket{0};
 };
 
-ServingEngine::ServingEngine(const PlannedTransformerStack& stack,
-                             const ServingEngineOptions& options)
-    : transformer_(&stack) {
-  Init(options);
-}
-
-ServingEngine::ServingEngine(const PlannedFfnStack& stack, const ServingEngineOptions& options)
-    : ffn_(&stack) {
-  Init(options);
-}
-
-void ServingEngine::Init(const ServingEngineOptions& options) {
+ServingEngine::ServingEngine(const PlannedStack& stack, const ServingEngineOptions& options)
+    : stack_(stack) {
   // Option misuse is API misuse, not request data: fail fast at construction
   // (0 always means "resolve env / default", never "negative").
   PIT_CHECK(options.num_streams >= 0)
@@ -441,47 +404,9 @@ void ServingEngine::AccountBucketPool(int64_t bucket, int64_t contexts_delta) {
   entry.second = std::max(entry.second, entry.first);
 }
 
-template <typename Pool, typename Key, typename MakeStreamFn>
-typename Pool::mapped_type* ServingEngine::PooledStream(StreamState& stream, Pool& pool,
-                                                        const Key& key, MakeStreamFn&& make) {
-  const int64_t bucket = BucketOfPoolKey(key);
-  auto it = pool.find(key);
-  if (it != pool.end()) {
-    ++stream.bucket_counters[bucket].plan_hits;
-    return &it->second;
-  }
-  ++stream.bucket_counters[bucket].plan_misses;
-  if (pool.size() >= kMaxPooledShapes) {
-    for (const auto& entry : pool) {
-      AccountBucketPool(BucketOfPoolKey(entry.first), -entry.second.NumContexts());
-    }
-    AccountPoolDelta(-stream.pooled_contexts, -stream.pooled_arena_bytes);
-    stream.pooled_contexts = 0;
-    stream.pooled_arena_bytes = 0;
-    pool.clear();
-  }
-  auto built = make();
-  if (!built.has_value()) {
-    // Injected persistent compile failure: nothing enters the pool; the
-    // caller's degradation ladder owns what happens to the requests.
-    return nullptr;
-  }
-  it = pool.emplace(key, std::move(*built)).first;
-  if (PlanVerifyEngaged()) {
-    VerifyPooledPlans(it->second);
-  }
-  stream.pooled_contexts += it->second.NumContexts();
-  stream.pooled_arena_bytes += it->second.ArenaBytes();
-  AccountPoolDelta(it->second.NumContexts(), it->second.ArenaBytes());
-  AccountBucketPool(bucket, it->second.NumContexts());
-  return &it->second;
-}
-
-template <typename Pool, typename Key, typename MakeStreamFn>
-typename Pool::mapped_type* ServingEngine::AcquireStream(
-    StreamState& stream, Pool& pool, const Key& key, MakeStreamFn&& make,
-    std::optional<typename Pool::mapped_type>& transient) {
-  using Mapped = typename Pool::mapped_type;
+PlannedStack::Stream* ServingEngine::AcquireStream(StreamState& stream, const PoolKey& key,
+                                                   std::optional<PlannedStack::Stream>& transient) {
+  const auto make = [&] { return stack_.MakeStream(key.first, key.second, use_pit_); };
   if (FaultProbe(FaultSite::kContextAcquire)) {
     // Pool-exhaustion rung: degrade to a transient stream over the same
     // shared plans — identical bits (the plans are immutable and shared;
@@ -489,37 +414,63 @@ typename Pool::mapped_type* ServingEngine::AcquireStream(
     // completes, and the pool itself is left untouched.
     ctr_faults_.fetch_add(1, std::memory_order_relaxed);
     ctr_degraded_.fetch_add(1, std::memory_order_relaxed);
-    ScopedFaultRetryImmunity immune;
     transient.emplace(make());
     return &*transient;
   }
-  return PooledStream(stream, pool, key, [&]() -> std::optional<Mapped> {
+  const int64_t bucket = key.first;
+  auto it = stream.pool.find(key);
+  if (it != stream.pool.end()) {
+    ++stream.bucket_counters[bucket].plan_hits;
+    return &it->second;
+  }
+  ++stream.bucket_counters[bucket].plan_misses;
+  if (FaultProbe(FaultSite::kPlanCompile)) {
+    // Transient compile failure: retry the build once.
+    ctr_faults_.fetch_add(1, std::memory_order_relaxed);
+    ctr_retries_.fetch_add(1, std::memory_order_relaxed);
+    ScopedFaultRetryImmunity immune;
     if (FaultProbe(FaultSite::kPlanCompile)) {
-      // Transient compile failure: retry the build once.
+      // Persistent (fail_retries configs only): nothing enters the pool; the
+      // caller's degradation ladder owns what happens to the requests.
       ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-      ctr_retries_.fetch_add(1, std::memory_order_relaxed);
-      ScopedFaultRetryImmunity immune;
-      if (FaultProbe(FaultSite::kPlanCompile)) {
-        // Persistent (fail_retries configs only): surface to the caller.
-        ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
-      return make();
+      return nullptr;
     }
-    return make();
-  });
+  }
+  if (stream.pool.size() >= kMaxPooledShapes) {
+    for (const auto& [evicted_key, evicted] : stream.pool) {
+      AccountBucketPool(evicted_key.first, -evicted.NumContexts());
+    }
+    AccountPoolDelta(-stream.pooled_contexts, -stream.pooled_arena_bytes);
+    stream.pooled_contexts = 0;
+    stream.pooled_arena_bytes = 0;
+    stream.pool.clear();
+  }
+  PlannedStack::Stream& pooled = stream.pool.emplace(key, make()).first->second;
+  // Pooled-plan verification (PIT_VERIFY_PLAN): a stream entering the pool
+  // replays its plans for the rest of the engine's lifetime, so the
+  // invariants concurrent replay rides on are proven once at pool entry (the
+  // compile hook misses plans cached before the knob engaged).
+  if (PlanVerifyEngaged()) {
+    for (const PlannedStack::Stream::Layer& layer : pooled.layers) {
+      VerifyPlanOrDie(*layer.plan, "ServingEngine pooled plan");
+    }
+  }
+  stream.pooled_contexts += pooled.NumContexts();
+  stream.pooled_arena_bytes += pooled.ArenaBytes();
+  AccountPoolDelta(pooled.NumContexts(), pooled.ArenaBytes());
+  AccountBucketPool(bucket, pooled.NumContexts());
+  return &pooled;
 }
 
 ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
-  const int64_t hidden = transformer_ != nullptr ? transformer_->hidden() : ffn_->hidden();
-  if (request.x.rank() != 2 || request.x.dim(0) <= 0 || request.x.dim(1) != hidden) {
+  if (request.x.rank() != 2 || request.x.dim(0) <= 0 || request.x.dim(1) != stack_.hidden()) {
     return ServeStatus::kInvalidArgument;
   }
   if (request.deadline_us < 0) {
     return ServeStatus::kInvalidArgument;
   }
   if (request.attn_mask != nullptr) {
-    if (ffn_ != nullptr) {
+    if (!stack_.takes_mask()) {
       // FFN stacks have no attention: a masked request is malformed data,
       // not grounds to abort the batch it arrived in.
       return ServeStatus::kInvalidArgument;
@@ -541,107 +492,44 @@ ServeStatus ServingEngine::AdmissionStatus(const ServeRequest& request) const {
   return ServeStatus::kOk;
 }
 
-ServeStatus ServingEngine::ServeOne(StreamState& stream, const ServeRequest& request,
-                                    int64_t deadline_abs_us, Tensor* out, int64_t* bucket_out) {
-  const int64_t tokens = request.x.dim(0);
-  PitCompiler* compiler = stream.compiler.get();
-  // The stream token guards exactly this forward: armed with the request's
-  // absolute deadline (kNoDeadline leaves only manual cancellation live) and
-  // cleared on every exit path. A 1:1 forward has a single member, so the
-  // "every member lapsed" in-flight rule degenerates to its own deadline.
-  stream.cancel.ArmDeadline(deadline_abs_us);
-  if (transformer_ != nullptr) {
-    const std::pair<int64_t, bool> key{tokens, request.attn_mask != nullptr};
-    std::optional<PlannedTransformerStack::Stream> transient;
-    PlannedTransformerStack::Stream* pooled = AcquireStream(
-        stream, stream.transformer_pool, key,
-        [&] { return transformer_->MakeStream(key.first, key.second, use_pit_); }, transient);
-    if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-      return ServeStatus::kInternal;
-    }
-    pooled->SetCancelToken(&stream.cancel);
-    transformer_->ForwardWith(*pooled, request.x, request.attn_mask, compiler, out);
-    if (ConsumeFaultPending()) {
-      // Kernel-dispatch fault: retry the identical forward once — the plan
-      // and context are intact (an abandoned replay only leaves stale arena
-      // data, fully overwritten by the retry). A cancelled token makes the
-      // retry exit at replay entry, so the ladder stays hang-free.
-      ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-      ctr_retries_.fetch_add(1, std::memory_order_relaxed);
-      ScopedFaultRetryImmunity immune;
-      transformer_->ForwardWith(*pooled, request.x, request.attn_mask, compiler, out);
-      if (ConsumeFaultPending()) {
-        stream.cancel.ClearDeadline();
-        ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-        ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-        return ServeStatus::kInternal;
-      }
-    }
-  } else {
-    std::optional<PlannedFfnStack::Stream> transient;
-    PlannedFfnStack::Stream* pooled =
-        AcquireStream(stream, stream.ffn_pool, tokens,
-                      [&] { return ffn_->MakeStream(tokens, use_pit_); }, transient);
-    if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-      return ServeStatus::kInternal;
-    }
-    pooled->SetCancelToken(&stream.cancel);
-    ffn_->ForwardWith(*pooled, request.x, compiler, out);
-    if (ConsumeFaultPending()) {
-      ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-      ctr_retries_.fetch_add(1, std::memory_order_relaxed);
-      ScopedFaultRetryImmunity immune;
-      ffn_->ForwardWith(*pooled, request.x, compiler, out);
-      if (ConsumeFaultPending()) {
-        stream.cancel.ClearDeadline();
-        ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-        ctr_internal_.fetch_add(1, std::memory_order_relaxed);
-        return ServeStatus::kInternal;
-      }
-    }
-  }
-  const bool manual_cancel = stream.cancel.cancelled_manual();
-  const bool lapsed = stream.cancel.deadline_lapsed();
-  stream.cancel.ClearDeadline();
-  if (manual_cancel) {
-    // Drain cut the forward (or it finished right at the cut): either way
-    // the request resolves kCancelled and surrenders its output.
-    ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
-    return ServeStatus::kCancelled;
-  }
-  if (lapsed) {
-    ctr_timed_out_inflight_.fetch_add(1, std::memory_order_relaxed);
-    ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
-    return ServeStatus::kDeadlineExceeded;
-  }
-  // 1:1 serving degenerates to one "bucket" per distinct request length —
-  // exactly the plan-pool cardinality contrast batching exists to collapse.
-  StreamState::BucketCounters& c = stream.bucket_counters[tokens];
-  ++c.batches;
-  ++c.requests;
-  c.packed_tokens += tokens;
-  c.computed_tokens += tokens;
-  *bucket_out = tokens;
-  return ServeStatus::kOk;
+int64_t ServingEngine::BucketOf(int64_t tokens) const {
+  return batch_window_ > 1 ? BucketTokensPow2(tokens, kMinBatchBucket) : tokens;
 }
 
 bool ServingEngine::TryPackedForward(StreamState& stream,
                                      const std::vector<ServeRequest>& requests,
-                                     const std::vector<int64_t>& span,
+                                     std::span<const int64_t> span,
                                      const std::vector<int64_t>& deadline_abs,
                                      std::vector<ServeOutcome>& outcomes,
                                      std::vector<int64_t>& bucket_of) {
-  const int64_t hidden = transformer_ != nullptr ? transformer_->hidden() : ffn_->hidden();
+  stream.lens.clear();
+  stream.request_masks.clear();
+  int64_t sum = 0;
+  int64_t max_len = 0;
+  for (const int64_t idx : span) {
+    const ServeRequest& request = requests[static_cast<size_t>(idx)];
+    const int64_t len = request.x.dim(0);
+    stream.lens.push_back(len);
+    stream.request_masks.push_back(request.attn_mask);
+    sum += len;
+    max_len = std::max(max_len, len);
+  }
+  const int64_t bucket = BucketOf(sum);
+  // A single request that fills its bucket exactly (always, at window 1)
+  // replays straight from its own tensor and mask into its outcome: no
+  // staging tile, no block-diagonal mask, nothing to pack.
+  const bool staged = span.size() > 1 || bucket != sum;
+  if (staged && FaultProbe(FaultSite::kBatchPack)) {
+    // Pack failure: compensated by whichever rung the caller takes next.
+    ctr_faults_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   // In-flight deadline arming: the batch is cancellable mid-replay only when
   // EVERY member carries a deadline — the token then arms with the latest
   // member deadline, so a mid-replay lapse proves every member has already
   // lapsed. A mixed batch never arms: its forward always completes, and the
   // lapsed members are marked at egress without output, leaving the
-  // survivors' bits identical to fault-free 1:1 replay.
+  // survivors' bits identical to fault-free unbatched replay.
   bool all_deadlined = true;
   int64_t latest_deadline_us = 0;
   for (const int64_t idx : span) {
@@ -657,127 +545,109 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
   } else {
     stream.cancel.ClearDeadline();
   }
-  stream.lens.clear();
-  stream.request_masks.clear();
-  int64_t sum = 0;
-  int64_t max_len = 0;
-  for (const int64_t idx : span) {
-    const ServeRequest& request = requests[static_cast<size_t>(idx)];
-    const int64_t len = request.x.dim(0);
-    stream.lens.push_back(len);
-    stream.request_masks.push_back(request.attn_mask);
-    sum += len;
-    max_len = std::max(max_len, len);
-  }
-  const int64_t bucket = BucketTokensPow2(sum, kMinBatchBucket);
-  if (static_cast<int64_t>(stream.iota.size()) < max_len) {
-    const int64_t old = static_cast<int64_t>(stream.iota.size());
-    stream.iota.resize(static_cast<size_t>(max_len));
-    for (int64_t i = old; i < max_len; ++i) {
-      stream.iota[static_cast<size_t>(i)] = i;
+  const ServeRequest& first = requests[static_cast<size_t>(span.front())];
+  const Tensor* x = &first.x;
+  const Tensor* mask = first.attn_mask;
+  Tensor* out = &outcomes[static_cast<size_t>(span.front())].output;
+  StreamState::BatchStaging* st = nullptr;
+  if (staged) {
+    if (static_cast<int64_t>(stream.iota.size()) < max_len) {
+      const int64_t old = static_cast<int64_t>(stream.iota.size());
+      stream.iota.resize(static_cast<size_t>(max_len));
+      for (int64_t i = old; i < max_len; ++i) {
+        stream.iota[static_cast<size_t>(i)] = i;
+      }
     }
-  }
-  StreamState::BatchStaging& st = stream.staging[bucket];
-  if (st.x.empty()) {
-    st.x = Tensor({bucket, hidden});
-    st.out = Tensor({bucket, hidden});
-    if (transformer_ != nullptr) {
-      st.mask = Tensor({bucket, bucket});
+    const int64_t hidden = stack_.hidden();
+    st = &stream.staging[bucket];
+    if (st->x.empty()) {
+      st->x = Tensor({bucket, hidden});
+      st->out = Tensor({bucket, hidden});
+      if (stack_.takes_mask()) {
+        st->mask = Tensor({bucket, bucket});
+      }
     }
-  }
-  // Padding rows must be re-zeroed every batch: stale activations from a
-  // previous fuller batch would replay through the padding rows, and a
-  // non-finite value there would poison the real rows through 0 * NaN in the
-  // masked context matmul. Zeroed padding rows keep every padded computation
-  // finite, so the real rows' bits depend only on the real rows.
-  std::fill(st.x.data() + sum * hidden, st.x.data() + bucket * hidden, 0.0f);
-  int64_t off = 0;
-  for (size_t i = 0; i < span.size(); ++i) {
-    const int64_t len = stream.lens[i];
-    SReadRowsInto(requests[static_cast<size_t>(span[i])].x,
-                  std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)), st.x,
-                  off);
-    off += len;
-  }
-  PitCompiler* compiler = stream.compiler.get();
-  if (transformer_ != nullptr) {
-    BlockDiagonalMaskInto(stream.lens, stream.request_masks, st.mask);
-    std::optional<PlannedTransformerStack::Stream> transient;
-    PlannedTransformerStack::Stream* pooled =
-        AcquireStream(stream, stream.transformer_pool, std::pair<int64_t, bool>{bucket, true},
-                      [&] { return transformer_->MakeStream(bucket, true, use_pit_); }, transient);
-    if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      return false;  // injected compile double-fault; caller's ladder decides
+    // Padding rows must be re-zeroed every batch: stale activations from a
+    // previous fuller batch would replay through the padding rows, and a
+    // non-finite value there would poison the real rows through 0 * NaN in
+    // the masked context matmul. Zeroed padding rows keep every padded
+    // computation finite, so the real rows' bits depend only on the real rows.
+    std::fill(st->x.data() + sum * hidden, st->x.data() + bucket * hidden, 0.0f);
+    int64_t off = 0;
+    for (size_t i = 0; i < span.size(); ++i) {
+      const int64_t len = stream.lens[i];
+      SReadRowsInto(requests[static_cast<size_t>(span[i])].x,
+                    std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)), st->x,
+                    off);
+      off += len;
     }
-    pooled->SetCancelToken(&stream.cancel);
-    transformer_->ForwardWith(*pooled, st.x, &st.mask, compiler, &st.out);
-  } else {
-    std::optional<PlannedFfnStack::Stream> transient;
-    PlannedFfnStack::Stream* pooled =
-        AcquireStream(stream, stream.ffn_pool, bucket,
-                      [&] { return ffn_->MakeStream(bucket, use_pit_); }, transient);
-    if (pooled == nullptr) {
-      stream.cancel.ClearDeadline();
-      return false;
+    mask = nullptr;
+    if (stack_.takes_mask()) {
+      BlockDiagonalMaskInto(stream.lens, stream.request_masks, st->mask);
+      mask = &st->mask;
     }
-    pooled->SetCancelToken(&stream.cancel);
-    ffn_->ForwardWith(*pooled, st.x, compiler, &st.out);
+    x = &st->x;
+    out = &st->out;
   }
+  std::optional<PlannedStack::Stream> transient;
+  PlannedStack::Stream* pooled = AcquireStream(stream, {bucket, mask != nullptr}, transient);
+  if (pooled == nullptr) {
+    stream.cancel.ClearDeadline();
+    return false;  // injected compile double-fault; caller's ladder decides
+  }
+  pooled->SetCancelToken(&stream.cancel);
+  stack_.ForwardWith(*pooled, *x, mask, stream.compiler.get(), out);
   const bool manual_cancel = stream.cancel.cancelled_manual();
   const bool batch_lapsed = all_deadlined && stream.cancel.deadline_lapsed();
   stream.cancel.ClearDeadline();
   if (ConsumeFaultPending()) {
-    // Kernel-dispatch fault mid-replay: staging holds garbage; scatter
-    // nothing. The fired probe is compensated by whichever rung the caller
-    // takes next (1:1 fallback, packed retry, or terminal failure). A fired
-    // cancel token makes every later rung exit at replay entry, so the
-    // ladder re-lands here immediately with no fault pending.
+    // Kernel-dispatch fault mid-replay: the forward's output is garbage and
+    // nothing was scattered. The fired probe is compensated by whichever
+    // rung the caller takes next. A fired cancel token makes every later
+    // rung exit at replay entry, so the ladder re-lands here immediately
+    // with no fault pending.
     ctr_faults_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (manual_cancel) {
-    // Drain cut the batch mid-replay: every member resolves kCancelled —
-    // a definitive outcome, not a degradation rung.
+  if (manual_cancel || batch_lapsed) {
+    // Drain cut the batch mid-replay (every member resolves kCancelled), or
+    // the batch deadline (max over members) lapsed, so every member has
+    // lapsed and resolves kDeadlineExceeded without output. Definitive
+    // outcomes, not degradation rungs.
+    const ServeStatus status =
+        manual_cancel ? ServeStatus::kCancelled : ServeStatus::kDeadlineExceeded;
     for (const int64_t idx : span) {
-      outcomes[static_cast<size_t>(idx)].status = ServeStatus::kCancelled;
+      outcomes[static_cast<size_t>(idx)].status = status;
     }
-    ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (batch_lapsed) {
-    // The batch deadline (max over members) lapsed mid-replay, so every
-    // member has lapsed: the forward was cancelled at a step boundary and
-    // the whole batch resolves kDeadlineExceeded without output.
-    for (const int64_t idx : span) {
-      outcomes[static_cast<size_t>(idx)].status = ServeStatus::kDeadlineExceeded;
+    if (!manual_cancel) {
+      ctr_timed_out_inflight_.fetch_add(static_cast<int64_t>(span.size()),
+                                        std::memory_order_relaxed);
     }
-    ctr_timed_out_inflight_.fetch_add(static_cast<int64_t>(span.size()),
-                                      std::memory_order_relaxed);
     ctr_cancelled_forwards_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   // Egress: one clock read decides which members still have a live deadline;
   // lapsed members are marked kDeadlineExceeded without output (their rows
   // were computed, but nobody is waiting), survivors scatter bitwise
-  // identical to fault-free 1:1 replay.
+  // identical to fault-free unbatched replay.
   const int64_t egress_now_us = SteadyNowUs();
-  off = 0;
+  int64_t off = 0;
   for (size_t i = 0; i < span.size(); ++i) {
-    const int64_t idx = span[i];
+    const size_t idx = static_cast<size_t>(span[i]);
     const int64_t len = stream.lens[i];
-    if (deadline_abs[static_cast<size_t>(idx)] <= egress_now_us) {
-      outcomes[static_cast<size_t>(idx)].status = ServeStatus::kDeadlineExceeded;
+    if (deadline_abs[idx] <= egress_now_us) {
+      outcomes[idx].status = ServeStatus::kDeadlineExceeded;
       ctr_timed_out_inflight_.fetch_add(1, std::memory_order_relaxed);
-      off += len;
-      continue;
+    } else {
+      if (staged) {
+        SWriteRowsFrom(st->out, off,
+                       std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)),
+                       outcomes[idx].output);
+      }
+      bucket_of[idx] = bucket;
+      outcomes[idx].status = ServeStatus::kOk;
     }
-    SWriteRowsFrom(st.out, off,
-                   std::span<const int64_t>(stream.iota.data(), static_cast<size_t>(len)),
-                   outcomes[static_cast<size_t>(idx)].output);
     off += len;
-    bucket_of[static_cast<size_t>(idx)] = bucket;
-    outcomes[static_cast<size_t>(idx)].status = ServeStatus::kOk;
   }
   StreamState::BucketCounters& c = stream.bucket_counters[bucket];
   ++c.batches;
@@ -787,65 +657,34 @@ bool ServingEngine::TryPackedForward(StreamState& stream,
   return true;
 }
 
-void ServingEngine::ServeSpanOneByOne(StreamState& stream,
-                                      const std::vector<ServeRequest>& requests,
-                                      const std::vector<int64_t>& span,
-                                      const std::vector<int64_t>& deadline_abs,
-                                      std::vector<ServeOutcome>& outcomes,
-                                      std::vector<int64_t>& bucket_of) {
-  for (const int64_t idx : span) {
-    ServeOutcome& outcome = outcomes[static_cast<size_t>(idx)];
-    outcome.status = ServeOne(stream, requests[static_cast<size_t>(idx)],
-                              deadline_abs[static_cast<size_t>(idx)], &outcome.output,
-                              &bucket_of[static_cast<size_t>(idx)]);
-  }
-}
-
 void ServingEngine::ServeSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
-                              const std::vector<int64_t>& span,
+                              std::span<const int64_t> span,
                               const std::vector<int64_t>& deadline_abs,
                               std::vector<ServeOutcome>& outcomes,
                               std::vector<int64_t>& bucket_of) {
-  const auto mark_internal = [&] {
+  if (TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
+    return;
+  }
+  if (!use_pit_ && span.size() > 1) {
+    // Dense batch of several: split into batches of one. Dense outputs do
+    // not depend on batch composition, so the split is bitwise invisible
+    // to the requests; each batch of one runs its own ladder.
+    ctr_degraded_.fetch_add(1, std::memory_order_relaxed);
+    for (const int64_t& idx : span) {
+      ServeSpan(stream, requests, std::span<const int64_t>(&idx, 1), deadline_abs, outcomes,
+                bucket_of);
+    }
+    return;
+  }
+  // A batch of one, or a PIT batch (kernel selection sees the packed tile,
+  // so splitting would change bits): retry the identical composition once.
+  ctr_retries_.fetch_add(1, std::memory_order_relaxed);
+  ScopedFaultRetryImmunity immune;
+  if (!TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
     ctr_internal_.fetch_add(1, std::memory_order_relaxed);
     for (const int64_t idx : span) {
       outcomes[static_cast<size_t>(idx)].status = ServeStatus::kInternal;
     }
-  };
-  if (FaultProbe(FaultSite::kBatchPack)) {
-    ctr_faults_.fetch_add(1, std::memory_order_relaxed);
-    if (!use_pit_) {
-      // Pack failure, dense stack: unbatch. The PR 6 contract makes each
-      // request's output independent of batch composition, so the 1:1
-      // fallback is bitwise invisible to the requests.
-      ctr_degraded_.fetch_add(1, std::memory_order_relaxed);
-      ServeSpanOneByOne(stream, requests, span, deadline_abs, outcomes, bucket_of);
-      return;
-    }
-    // PIT: kernel selection sees the packed tile's sparsity, so unbatching
-    // would change bits — retry the pack at identical composition instead.
-    ctr_retries_.fetch_add(1, std::memory_order_relaxed);
-    ScopedFaultRetryImmunity immune;
-    if (!TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
-      mark_internal();
-    }
-    return;
-  }
-  if (TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
-    return;
-  }
-  // A rung inside the packed attempt failed terminally for this composition
-  // (compile double-fault or kernel dispatch fault): same split as above —
-  // dense unbatches, PIT retries the identical packed composition once.
-  if (!use_pit_) {
-    ctr_degraded_.fetch_add(1, std::memory_order_relaxed);
-    ServeSpanOneByOne(stream, requests, span, deadline_abs, outcomes, bucket_of);
-    return;
-  }
-  ctr_retries_.fetch_add(1, std::memory_order_relaxed);
-  ScopedFaultRetryImmunity immune;
-  if (!TryPackedForward(stream, requests, span, deadline_abs, outcomes, bucket_of)) {
-    mark_internal();
   }
 }
 
@@ -920,7 +759,6 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
     }
     ++serve_active_;
   }
-  const int64_t hidden = transformer_ != nullptr ? transformer_->hidden() : ffn_->hidden();
   const int64_t t0_abs_us = SteadyNowUs();
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed_us = [&t0] {
@@ -970,7 +808,7 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
       deadline_abs[static_cast<size_t>(idx)] = t0_abs_us + budget_us;
     }
     outcomes[static_cast<size_t>(idx)].status = ServeStatus::kCancelled;
-    outcomes[static_cast<size_t>(idx)].output = Tensor({request.x.dim(0), hidden});
+    outcomes[static_cast<size_t>(idx)].output = Tensor({request.x.dim(0), stack_.hidden()});
   }
   const int64_t qn = static_cast<int64_t>(queue.size());
   std::vector<double> latencies(static_cast<size_t>(n), 0.0);
@@ -1048,23 +886,13 @@ std::vector<ServeOutcome> ServingEngine::ServeWithStatus(
           for (const int64_t idx : stream.span) {
             span_tokens += requests[static_cast<size_t>(idx)].x.dim(0);
           }
-          stream.hb_bucket.store(
-              window > 1 ? BucketTokensPow2(span_tokens, kMinBatchBucket) : span_tokens,
-              std::memory_order_relaxed);
+          stream.hb_bucket.store(BucketOf(span_tokens), std::memory_order_relaxed);
           stream.hb_active.store(true, std::memory_order_release);
           if (FaultProbe(FaultSite::kStall)) {
             ctr_stalls_injected_.fetch_add(1, std::memory_order_relaxed);
             std::this_thread::sleep_for(std::chrono::microseconds(ActiveFaultConfig().stall_us));
           }
-          if (window > 1) {
-            ServeSpan(stream, requests, stream.span, deadline_abs, outcomes, bucket_of);
-          } else {
-            const int64_t idx = stream.span[0];
-            ServeOutcome& outcome = outcomes[static_cast<size_t>(idx)];
-            outcome.status = ServeOne(stream, requests[static_cast<size_t>(idx)],
-                                      deadline_abs[static_cast<size_t>(idx)], &outcome.output,
-                                      &bucket_of[static_cast<size_t>(idx)]);
-          }
+          ServeSpan(stream, requests, stream.span, deadline_abs, outcomes, bucket_of);
           stream.hb_active.store(false, std::memory_order_release);
           const double done = elapsed_us();
           int64_t completed = 0;

@@ -1,94 +1,70 @@
-// Throughput-oriented multi-stream serving engine over the planned stacks.
+// Throughput-oriented multi-stream serving engine over a planned stack.
 //
-// The compile-once/execute-many seam (shared immutable ExecutionPlans, PR 2-4)
-// served one request stream: a plan's arena was its execution state, so a
-// second in-flight forward had to wait. This engine exploits the plan/context
-// split: every stream holds private ExecutionContexts over the stack's shared
-// plans (one per layer per served shape, pooled and reused across requests),
-// so N streams replay the same compiled plans concurrently with zero
-// cross-stream shared mutable state — inter-request parallelism, which
-// BENCH_pr4 showed is where the hardware headroom is once intra-plan
-// wavefronts stop paying (small per-step work at serving-size shapes).
+// One forward path. Every forward the engine runs is a *batch*: a span of
+// consecutive requests whose token rows replay together through the stack's
+// shared compiled plans (PlannedStack in models.h, the one interface both the
+// transformer and the FFN stack implement). Serving without batching
+// (batch_window 1) is just batches of one. A batch's plan key is its bucket —
+// the padded token count the plans are compiled for — plus whether the
+// forward carries an attention mask. At window 1 the bucket is the request's
+// exact token count; at window > 1 it is the power-of-two sum-token capacity
+// (floor 16), so the plan pool holds O(log max_tokens) keys instead of one
+// per distinct request length.
 //
-// Continuous ragged batching (PR 6) applies the paper's micro-tile
-// permutation to the batch axis: a padded mixed-length batch is a dynamically
-// row-sparse tensor (§2.1 Fig. 2c), so a stream coalesces several in-flight
-// requests of *different* token counts into one dense forward by
-// SRead-gathering each request's token rows into a packed
-// [sum_tokens, hidden] tile, replaying the stack's shared plan over it with a
+// Batching is the paper's micro-tile permutation applied to the batch axis: a
+// padded mixed-length batch is a dynamically row-sparse tensor (§2.1 Fig. 2c),
+// so a stream SRead-gathers each request's token rows into a packed
+// [bucket, hidden] staging tile, replays the plans over it with a
 // block-diagonal attention mask (requests never attend across batch
-// boundaries; padding rows self-attend), and SWrite-scattering per-request
-// outputs back. Packed batches are padded to power-of-two sum-token buckets,
-// so the plan pool holds O(log max_tokens) keys instead of one per distinct
-// request length. The batched result is bitwise identical per request to 1:1
-// single-stream replay for dense serving: every kernel in the stack is
+// boundaries; padding rows self-attend), and SWrite-scatters per-request
+// outputs back. A batch of one request that fills its bucket exactly skips
+// all of that: its own tensor and mask feed the plans and the result lands
+// in its outcome directly. Dense results are bitwise identical per request
+// whatever the batch composition: every kernel in the stack is
 // row-independent (GEMM rows, layernorm, residuals) and the masked softmax
 // contributes exact 0.0f for foreign columns, so a request's rows cannot
-// observe its batch neighbours.
+// observe its batchmates.
 //
 // Scheduling: one worker per stream on the task-capable ParallelFor pool
-// (ParallelTasks), each greedily pulling the next request span off a shared
-// atomic cursor — a work-conserving M:N scheduler, not a static partition, so
-// a stream stuck on a long request never idles the others. Claims advance the
-// cursor by the batch window, so span composition (and therefore batch
-// composition) is independent of which stream claims it. Each worker runs
-// with an intra-op width budget of ~threads/streams; inside a worker the
-// plan replays sequentially (ParallelRegionActive) and its kernels fan out
-// to the worker's budget, which keeps every result bitwise identical to
-// single-stream replay at any (streams x threads x scheduler) combination:
-// requests never split across streams, contexts never cross streams, and
-// every kernel is chunk-count deterministic.
+// (ParallelTasks), each greedily claiming the next span of batch_window
+// requests off a shared atomic cursor — work-conserving, and because claims
+// advance in fixed strides, batch composition never depends on which stream
+// claims what. Every stream holds private ExecutionContexts over the shared
+// plans (pooled per plan key), its own PitCompiler when serving PIT, and an
+// intra-op width budget of ~threads/streams, so results are bitwise identical
+// to single-stream replay at any (streams x threads x scheduler).
 //
-// Fault containment (PR 9): the error domain is split in two. *API misuse* —
-// a null stack, negative option values, legacy Serve() on a failed request —
-// stays fail-fast (PIT_CHECK abort, check.h). *Data-dependent request
-// failures* are contained at the request boundary and reported as a
-// per-request ServeStatus: admission validates shape, mask dimensions and
-// finiteness up front (kInvalidArgument), a bounded admission queue sheds
-// overflow (kRejectedOverload), a deadline sweep sheds requests whose latency
-// budget lapsed while queued (kDeadlineExceeded), and injected or transient
-// infrastructure faults ride a degradation ladder — retry a failed plan
-// compile once, fall back to a transient unpooled context on pool
-// exhaustion, fall back to 1:1 unbatched serving on pack failure (dense;
-// PIT retries at identical batch composition since its kernel selection sees
-// the packed tile) — that ends in kOk or, only under persistent injected
-// faults, kInternal. A rejected request is excluded from its packed batch
-// without perturbing batchmates: the PR 6 contract makes per-request outputs
-// independent of batch composition, so every degradation rung is bitwise
-// invisible to the surviving requests. The fault taps themselves live in
-// common/fault_injection.h (PIT_FAULT=site:rate:seed) and fire only inside
-// the engine's stream workers.
+// Fault containment: API misuse (negative options, legacy Serve() on a failed
+// request) stays fail-fast (PIT_CHECK). Data-dependent failures end in a
+// per-request ServeStatus: admission rejects malformed shapes, masks and
+// non-finite data (kInvalidArgument), a bounded queue sheds overflow
+// (kRejectedOverload), and a claim-time sweep sheds requests whose deadline
+// lapsed while queued (kDeadlineExceeded). Injected or transient
+// infrastructure faults (common/fault_injection.h, PIT_FAULT) ride one
+// degradation ladder: a failed plan compile is retried once, an exhausted
+// context pool degrades to a transient unpooled context, and a failed batch
+// either retries its identical composition once (a batch of one, or any PIT
+// batch — PIT kernel selection sees the packed tile) or splits into batches
+// of one (a dense batch of several). The ladder ends in kOk or, only under
+// persistent injected faults, kInternal, and every rung is bitwise invisible
+// to the surviving requests.
 //
-// Liveness (PR 10): fault containment alone still hangs when work *stops*
-// instead of failing, so the engine carries the liveness half of isolation.
-// Every stream owns a CancelToken installed on its pooled contexts; both plan
-// schedulers poll it at step/wavefront boundaries (kernels stay
-// uninterruptible), giving bounded time-to-release: deadlines are enforced
-// *in flight*, not just at claim time — a packed batch whose every member
-// lapsed mid-replay is released kDeadlineExceeded without completing the
-// forward, while a batch with surviving members completes and marks only the
-// lapsed members at egress (without output), so surviving outputs stay
-// bitwise identical to fault-free 1:1 replay. An engine-owned watchdog thread
-// reads per-stream heartbeat counters (bumped at replay checkpoints) for
-// bounded time-to-*detection*: a mid-request stream silent past
-// PIT_WATCHDOG_US is logged and counted (stalls_detected), and PIT_WATCHDOG=
-// abort escalates to fail-fast. The deterministic `stall` fault site
-// (PIT_FAULT=stall:rate:seed, a seeded worker sleep) makes both provable in
-// chaos. Drain()/the destructor stop claiming, cancel or finish in-flight
-// work per policy, release queued requests kCancelled, and reject later
-// Serves with a definite status.
+// Liveness: every stream owns a CancelToken installed on its pooled contexts
+// and polled by both plan schedulers at step/wavefront boundaries. A batch
+// whose members all carry deadlines is armed with the latest one, so a batch
+// whose every member lapsed mid-replay is released kDeadlineExceeded without
+// finishing; otherwise the forward completes and lapsed members are marked at
+// egress. An engine-owned watchdog reads per-stream heartbeats and reports
+// (or, PIT_WATCHDOG=abort, fail-fasts on) streams silent past
+// PIT_WATCHDOG_US. Drain()/the destructor stop claiming, cancel or finish
+// in-flight work per policy, and reject later Serves with a definite status.
 //
-// The stream count resolves from ServingEngineOptions::num_streams, else the
-// strict-parsed PIT_NUM_STREAMS environment knob, else NumThreads(). The
-// batching admission knobs resolve the same way from
-// ServingEngineOptions::batch_window / max_batch_tokens, else the
-// strict-parsed PIT_BATCH_WINDOW / PIT_BATCH_TOKENS knobs, else defaults
-// (window 1 — batching off — and 512 token rows). The containment knobs
-// resolve from ServingEngineOptions::deadline_us / queue_capacity, else the
-// strict-parsed PIT_SERVE_DEADLINE_US / PIT_SERVE_QUEUE knobs, else 0 (no
-// default deadline, unbounded queue). The liveness knobs resolve from
-// ServingEngineOptions::watchdog_us / watchdog_mode, else the strict-parsed
-// PIT_WATCHDOG_US / PIT_WATCHDOG knobs, else off / report.
+// Every knob resolves from its ServingEngineOptions field, else its
+// strict-parsed environment variable, else a default: num_streams
+// (PIT_NUM_STREAMS, NumThreads()), batch_window / max_batch_tokens
+// (PIT_BATCH_WINDOW / PIT_BATCH_TOKENS, 1 and 512), deadline_us /
+// queue_capacity (PIT_SERVE_DEADLINE_US / PIT_SERVE_QUEUE, none), and
+// watchdog_us / watchdog_mode (PIT_WATCHDOG_US / PIT_WATCHDOG, off / report).
 #ifndef PIT_RUNTIME_SERVING_ENGINE_H_
 #define PIT_RUNTIME_SERVING_ENGINE_H_
 
@@ -99,8 +75,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pit/common/cancellation.h"
@@ -218,10 +196,10 @@ struct ServingEngineOptions {
 
 // Per-bucket plan-pool and service accounting. A "bucket" is the padded
 // token count a plan is keyed by: the power-of-two sum-token capacity of a
-// packed batch under ragged batching, or a request's exact token count when
-// serving 1:1 — so the bucket list is exactly the engine's plan-pool key
-// cardinality, and the 1:1 vs batched contrast (distinct lengths vs
-// O(log max) buckets) is directly observable.
+// batch at batch_window > 1, or a request's exact token count at window 1 —
+// so the bucket list is exactly the engine's plan-pool key cardinality, and
+// the unbatched vs batched contrast (distinct lengths vs O(log max) buckets)
+// is directly observable.
 struct ServingBucketStats {
   int64_t bucket = 0;           // padded token count (plan-pool key)
   int64_t batches = 0;          // lifetime packed forwards at this bucket
@@ -249,7 +227,7 @@ struct ServingEngineStats {
   int batch_window = 1;
   int max_batch_tokens = 0;
   int64_t requests = 0;       // total requests submitted over the engine lifetime
-  int64_t batches = 0;        // total forwards dispatched (== requests unbatched)
+  int64_t batches = 0;        // total forwards dispatched (== requests at window 1)
   double wall_us = 0.0;       // wall-clock of the last Serve call
   double requests_per_sec = 0.0;  // kOk completions per second, last call
   // Latency statistics over the last Serve call's kOk requests; all 0 when
@@ -291,7 +269,7 @@ struct ServingEngineStats {
   int64_t stall_max_silence_us = 0;
   int64_t faults_injected = 0;    // fault-injection probes that fired in this engine
   int64_t retries = 0;            // same-composition retry rungs taken
-  int64_t degraded_forwards = 0;  // transient-context / 1:1-fallback rungs taken
+  int64_t degraded_forwards = 0;  // transient-context / split-into-batches-of-one rungs taken
   int64_t internal_failures = 0;  // forwards whose ladder exhausted (kInternal)
   // Context/arena pool accounting: streams cache one context set per served
   // bucket and reuse it across requests; high-water marks track the peak
@@ -308,16 +286,14 @@ struct ServingEngineStats {
   std::string ToString() const;
 };
 
-// Drives a pinned PlannedTransformerStack (or PlannedFfnStack) over request
-// streams. The engine is itself single-caller (one Serve at a time); all
-// parallelism is internal. Streams and their context pools persist across
-// Serve calls, so steady-state serving recompiles and reallocates nothing
-// for already-seen shapes.
+// Drives a pinned PlannedStack (transformer or FFN) over request streams.
+// The engine is itself single-caller (one Serve at a time); all parallelism
+// is internal. Streams and their context pools persist across Serve calls, so
+// steady-state serving recompiles and reallocates nothing for already-seen
+// shapes.
 class ServingEngine {
  public:
-  explicit ServingEngine(const PlannedTransformerStack& stack,
-                         const ServingEngineOptions& options = {});
-  explicit ServingEngine(const PlannedFfnStack& stack, const ServingEngineOptions& options = {});
+  explicit ServingEngine(const PlannedStack& stack, const ServingEngineOptions& options = {});
   ~ServingEngine();
 
   ServingEngine(const ServingEngine&) = delete;
@@ -326,13 +302,14 @@ class ServingEngine {
   // Serves every request to a definite terminal status across the engine's
   // streams and returns the outcomes in request order; never aborts on
   // malformed request data. kOk outputs are bitwise identical to
-  // single-stream replay (and, for dense serving, to the 1:1 unbatched
-  // engine and the stack's eager oracle) for any (streams x threads x
-  // scheduler x batching) combination, and independent of which batchmates
-  // were rejected, shed or timed out around them (PR 6 contract). PIT
-  // serving is deterministic and stream-assignment independent, but its
-  // kernel selection sees the packed tile's sparsity, so batched PIT results
-  // match batched single-stream PIT replay rather than the 1:1 PIT engine.
+  // single-stream replay (and, for dense serving, to the unbatched engine
+  // and the stack's eager oracle) for any (streams x threads x scheduler x
+  // batching) combination, and independent of which batchmates were
+  // rejected, shed or timed out around them. PIT serving is deterministic
+  // and stream-assignment independent, but its kernel selection sees the
+  // packed tile's sparsity, so batched PIT results match batched
+  // single-stream PIT replay; at window 1 a batch of one is never padded, so
+  // they match the stack's ForwardPit.
   std::vector<ServeOutcome> ServeWithStatus(const std::vector<ServeRequest>& requests);
 
   // Legacy strict wrapper: serves via ServeWithStatus and requires every
@@ -363,69 +340,47 @@ class ServingEngine {
 
  private:
   struct StreamState;
+  using PoolKey = std::pair<int64_t, bool>;  // (bucket, masked?)
 
-  // Shared constructor body: option validation (misuse is fail-fast),
-  // stream-state allocation, per-stream compilers, stats init (the two
-  // public constructors differ only in which stack pointer they set).
-  void Init(const ServingEngineOptions& options);
   // Admission validation — the data-dependent half of the error domain:
-  // activation shape, deadline sign, mask shape (and absence for FFN
-  // stacks), finiteness of activations and mask. Pure per-request.
+  // activation shape, deadline sign, mask shape (and absence for stacks that
+  // take none), finiteness of activations and mask. Pure per-request.
   ServeStatus AdmissionStatus(const ServeRequest& request) const;
-  // Serves one request 1:1 with the kernel-fault retry rung; returns its
-  // terminal status and records its bucket. `deadline_abs_us` is the
-  // request's absolute steady-clock lapse time (CancelToken::kNoDeadline for
-  // none): the stream's token is armed with it so a mid-replay lapse stops
-  // the forward at the next step boundary (kDeadlineExceeded).
-  ServeStatus ServeOne(StreamState& stream, const ServeRequest& request, int64_t deadline_abs_us,
-                       Tensor* out, int64_t* bucket_out);
-  // Serves the span's requests (original indices) through one packed
-  // bucket-padded forward, running the batch-level degradation ladder:
-  // dense falls back to 1:1 unbatched serving (bitwise-free by the PR 6
-  // contract), PIT retries at identical composition. `deadline_abs` maps
+  // The padded token count a batch of `tokens` real rows replays at: exact
+  // at window 1, the power-of-two bucket (floor 16) when batching.
+  int64_t BucketOf(int64_t tokens) const;
+  // Serves one batch (original request indices) to a definite status per
+  // member, running the degradation ladder around TryPackedForward: a batch
+  // of one, or any PIT batch, retries its identical composition once; a
+  // dense batch of several splits into batches of one (bitwise-free, since
+  // dense outputs do not depend on batch composition). `deadline_abs` maps
   // every original request index to its absolute lapse time.
   void ServeSpan(StreamState& stream, const std::vector<ServeRequest>& requests,
-                 const std::vector<int64_t>& span, const std::vector<int64_t>& deadline_abs,
+                 std::span<const int64_t> span, const std::vector<int64_t>& deadline_abs,
                  std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // The 1:1 fallback rung: serves every span request individually.
-  void ServeSpanOneByOne(StreamState& stream, const std::vector<ServeRequest>& requests,
-                         const std::vector<int64_t>& span,
-                         const std::vector<int64_t>& deadline_abs,
-                         std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // One packed forward attempt: gather, mask, replay, scatter. In-flight
-  // deadline enforcement happens here: the stream's token is armed with the
-  // latest member deadline iff *every* member carries one (the batch is
-  // cancelled mid-replay only when every member has lapsed — all end
-  // kDeadlineExceeded without the forward completing); otherwise the forward
-  // completes and members whose own budget lapsed are marked at egress
-  // without scattering, so surviving outputs stay bitwise identical to
-  // fault-free 1:1 replay. Returns false when a rung inside failed (injected
-  // compile double-fault or kernel dispatch fault) — staging contents are
-  // then undefined and nothing was scattered; the caller's ladder decides
-  // the next rung. Cancellation and lapse are definitive outcomes (true),
-  // never ladder rungs.
+  // One forward attempt over a batch: gather into the bucket's staging tile
+  // and build its block-diagonal mask (skipped for a single request that
+  // fills its bucket, which replays from its own tensors), replay, scatter.
+  // In-flight deadlines: the stream's token is armed with the latest member
+  // deadline iff *every* member carries one, so the forward is cancelled
+  // mid-replay only when every member has lapsed (all end
+  // kDeadlineExceeded); otherwise it completes and members whose own budget
+  // lapsed are marked at egress without output. Returns false when a rung
+  // inside failed (injected pack fault, compile double-fault, or kernel
+  // dispatch fault) — nothing was scattered and the caller's ladder decides
+  // the next rung. Cancellation and lapse are definitive outcomes (true).
   bool TryPackedForward(StreamState& stream, const std::vector<ServeRequest>& requests,
-                        const std::vector<int64_t>& span,
-                        const std::vector<int64_t>& deadline_abs,
+                        std::span<const int64_t> span, const std::vector<int64_t>& deadline_abs,
                         std::vector<ServeOutcome>& outcomes, std::vector<int64_t>& bucket_of);
-  // Pooled-stream acquisition with the infrastructure fault taps: a
-  // context-acquire fault degrades to a transient unpooled stream (same
-  // shared plans, same bits, nothing pinned afterwards — built into
-  // `transient`, which must outlive the forward); a plan-compile fault
+  // The stream's pooled plan+context set for `key`, built (evicting the
+  // whole pool at the shape bound) on a miss, with the hit/miss and pool
+  // accounting. Infrastructure fault taps: a context-acquire fault degrades
+  // to a transient unpooled stream over the same shared plans, built into
+  // `transient` (which must outlive the forward); a plan-compile fault
   // retries the build once. Returns nullptr only when the retried build
   // failed again (persistent faults), for the caller's ladder.
-  template <typename Pool, typename Key, typename MakeStreamFn>
-  typename Pool::mapped_type* AcquireStream(StreamState& stream, Pool& pool, const Key& key,
-                                            MakeStreamFn&& make,
-                                            std::optional<typename Pool::mapped_type>& transient);
-  // Finds (or builds, evicting at the shape bound) the stream's pooled state
-  // for `key` — the one implementation of the lookup/evict/account protocol
-  // both stack types go through. Tallies the hit/miss and per-bucket context
-  // accounting. `make` returns an optional: nullopt (a failed injected
-  // build) enters nothing into the pool and returns nullptr.
-  template <typename Pool, typename Key, typename MakeStreamFn>
-  typename Pool::mapped_type* PooledStream(StreamState& stream, Pool& pool, const Key& key,
-                                           MakeStreamFn&& make);
+  PlannedStack::Stream* AcquireStream(StreamState& stream, const PoolKey& key,
+                                      std::optional<PlannedStack::Stream>& transient);
   // Adjusts the live pool totals by the given deltas and folds the result
   // into the high-water marks. Called from concurrent stream workers at the
   // moment a pool grows (or is evicted), so the marks capture mid-Serve
@@ -446,8 +401,7 @@ class ServingEngine {
   void WatchdogLoop();
   void StopWatchdog();
 
-  const PlannedTransformerStack* transformer_ = nullptr;  // exactly one of the
-  const PlannedFfnStack* ffn_ = nullptr;                  // two stacks is set
+  const PlannedStack& stack_;
   int num_streams_ = 1;
   bool use_pit_ = false;
   int batch_window_ = 1;

@@ -16,6 +16,15 @@
 namespace pit {
 namespace {
 
+// Death tests here run while the ParallelFor pool's worker threads are live.
+// The default "fast" style forks the process as is, and a child forked while
+// a worker holds a lock it needs can hang until the test timeout; the
+// "threadsafe" style re-executes the binary for each death test instead.
+const bool kThreadsafeDeathTests = [] {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  return true;
+}();
+
 TEST(FailureInjectionTest, MatmulShapeMismatchAborts) {
   Tensor a = Tensor::Zeros({2, 3});
   Tensor b = Tensor::Zeros({4, 2});

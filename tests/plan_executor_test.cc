@@ -1064,23 +1064,23 @@ TEST(PlanExecutorTest, ContextFromAnotherPlanIsRejected) {
 }
 
 TEST(PlanExecutorTest, EncoderLayerStreamsForwardConcurrently) {
-  // The nn seam: MakeStream hands out per-stream state over the layer's
-  // cached plan; concurrent ForwardWith calls (distinct streams, shared
-  // immutable plan) must match ForwardInto bitwise.
+  // The stream seam: MakeStream hands out per-stream state over the encoder
+  // layer's cached plan; concurrent ForwardWith calls (distinct streams,
+  // shared immutable plan) must match the locked Forward path bitwise.
   Rng rng(91);
-  TransformerEncoderLayer layer(32, 4, 96, rng);
+  PlannedTransformerStack stack(/*layers=*/1, 32, 4, 96, rng);
   constexpr int kStreams = 3;
   std::vector<Tensor> inputs;
   std::vector<Tensor> expected;
   Rng xr(92);
   for (int s = 0; s < kStreams; ++s) {
     inputs.push_back(Tensor::Random({16, 32}, xr));
-    expected.push_back(layer.Forward(inputs.back()));
+    expected.push_back(stack.Forward(inputs.back()));
   }
   ScopedNumThreads threads(4);
-  std::vector<TransformerEncoderLayer::Stream> streams;
+  std::vector<PlannedStack::Stream> streams;
   for (int s = 0; s < kStreams; ++s) {
-    streams.push_back(layer.MakeStream(16, /*masked=*/false));
+    streams.push_back(stack.MakeStream(16, /*masked=*/false));
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> workers;
@@ -1088,7 +1088,7 @@ TEST(PlanExecutorTest, EncoderLayerStreamsForwardConcurrently) {
     workers.emplace_back([&, s] {
       Tensor out(Shape{16, 32});
       for (int r = 0; r < 6; ++r) {
-        layer.ForwardWith(streams[static_cast<size_t>(s)], inputs[static_cast<size_t>(s)],
+        stack.ForwardWith(streams[static_cast<size_t>(s)], inputs[static_cast<size_t>(s)],
                           nullptr, nullptr, &out);
         if (std::memcmp(out.data(), expected[static_cast<size_t>(s)].data(),
                         static_cast<size_t>(out.size()) * sizeof(float)) != 0) {

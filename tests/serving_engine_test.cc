@@ -19,6 +19,7 @@
 #include "pit/common/fault_injection.h"
 #include "pit/common/parallel_for.h"
 #include "pit/common/rng.h"
+#include "pit/gpusim/device.h"
 #include "pit/runtime/models.h"
 #include "pit/runtime/serving_engine.h"
 #include "pit/tensor/ops.h"
@@ -253,6 +254,46 @@ TEST(ServingEngineTest, PitServingMatchesSingleStreamPit) {
   }
 }
 
+TEST(ServingEngineTest, UnbatchedPitServingMatchesForwardPit) {
+  // At window 1 every forward is a batch of one that is never padded, so
+  // PIT kernel selection sees exactly the request's own activations: the
+  // 1-stream engine must reproduce ForwardPit over the same requests in the
+  // same order through one compiler, bit for bit. The FFN stack's row
+  // results happen not to change when padded, so the no-padding half is
+  // pinned on the plan keys: one bucket per exact request length.
+  Rng wr(13);
+  PlannedFfnStack stack(2, 16, 64, wr);
+  Rng rr(14);
+  std::vector<ServeRequest> requests;
+  for (int i = 0; i < 10; ++i) {
+    ServeRequest req;
+    req.x = Tensor::Random({3 + 5 * (i % 4), 16}, rr);
+    requests.push_back(std::move(req));
+  }
+  PitCompiler compiler(V100());
+  std::vector<Tensor> expected;
+  for (const ServeRequest& req : requests) {
+    expected.push_back(stack.ForwardPit(req.x, compiler));
+  }
+  ServingEngineOptions options;
+  options.use_pit = true;
+  options.num_streams = 1;
+  options.batch_window = 1;
+  ServingEngine engine(stack, options);
+  const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(requests);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(outcomes[i].status, ServeStatus::kOk) << "request " << i;
+    ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, expected[i]))
+        << "request " << i;
+  }
+  std::vector<int64_t> buckets;
+  for (const ServingBucketStats& b : engine.stats().buckets) {
+    buckets.push_back(b.bucket);
+  }
+  EXPECT_EQ(buckets, (std::vector<int64_t>{3, 8, 13, 18}));
+  EXPECT_EQ(engine.stats().packed_utilization, 1.0);
+}
+
 TEST(ServingEngineTest, NumStreamsResolvesFromOptionsThenEnvThenThreads) {
   Rng wr(11);
   PlannedFfnStack stack(1, 8, 16, wr);
@@ -295,32 +336,50 @@ TEST(ServingEngineTest, NumStreamsResolvesFromOptionsThenEnvThenThreads) {
 TEST(RaggedBatchingTest, MatchesEagerAndUnbatchedAcrossCombinations) {
   Rng wr(21);
   PlannedTransformerStack stack(2, 32, 4, 96, wr);
-  RequestMix mix = BuildMix(32, {5, 9, 16}, 4, 22);
+  // Two inputs. `mixed` coalesces several requests per batch. In `alone`,
+  // every request forms its own batch because the next one exceeds the
+  // 48-token budget: the 16- and 32-token requests (masked and unmasked)
+  // fill their bucket exactly and replay from their own tensors, the 40- and
+  // 20-token ones are batches of one padded to 64 and 32.
+  const RequestMix mixed = BuildMix(32, {5, 9, 16}, 4, 22);
+  const RequestMix alone = BuildMix(32, {16, 40, 32, 20}, 2, 23);
+  for (const RequestMix* mix : {&mixed, &alone}) {
+    SCOPED_TRACE(mix == &mixed ? "mixed" : "alone");
+    std::vector<Tensor> expected;
+    for (const ServeRequest& req : mix->requests) {
+      expected.push_back(stack.ForwardEager(req.x, req.attn_mask));
+    }
+    ServingEngineOptions unbatched;
+    unbatched.num_streams = 1;
+    unbatched.batch_window = 1;
+    const std::vector<Tensor> one_to_one = ServingEngine(stack, unbatched).Serve(mix->requests);
 
-  std::vector<Tensor> expected;
-  for (const ServeRequest& req : mix.requests) {
-    expected.push_back(stack.ForwardEager(req.x, req.attn_mask));
-  }
-
-  for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
-    for (int threads : {1, 4}) {
-      for (int streams : {1, 2, 4}) {
-        ScopedPlanSched sched_guard(sched);
-        ScopedNumThreads thread_guard(threads);
-        ServingEngineOptions options;
-        options.num_streams = streams;
-        options.batch_window = 4;
-        options.max_batch_tokens = 48;
-        ServingEngine engine(stack, options);
-        std::vector<Tensor> outputs = engine.Serve(mix.requests);
-        ASSERT_EQ(outputs.size(), expected.size());
-        for (size_t i = 0; i < outputs.size(); ++i) {
-          ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
-              << "request " << i << " (streams=" << streams << ", threads=" << threads
-              << ", sched=" << (sched == PlanSched::kWavefront ? "wavefront" : "seq") << ")";
+    for (const PlanSched sched : {PlanSched::kSequential, PlanSched::kWavefront}) {
+      for (int threads : {1, 4}) {
+        for (int streams : {1, 2, 4}) {
+          ScopedPlanSched sched_guard(sched);
+          ScopedNumThreads thread_guard(threads);
+          ServingEngineOptions options;
+          options.num_streams = streams;
+          options.batch_window = 4;
+          options.max_batch_tokens = 48;
+          ServingEngine engine(stack, options);
+          std::vector<Tensor> outputs = engine.Serve(mix->requests);
+          ASSERT_EQ(outputs.size(), expected.size());
+          for (size_t i = 0; i < outputs.size(); ++i) {
+            ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], expected[i]))
+                << "request " << i << " (streams=" << streams << ", threads=" << threads
+                << ", sched=" << (sched == PlanSched::kWavefront ? "wavefront" : "seq") << ")";
+            ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outputs[i], one_to_one[i]))
+                << "request " << i << " vs 1:1";
+          }
+          if (mix == &mixed) {
+            // Requests were actually coalesced, not served one by one.
+            EXPECT_LT(engine.stats().batches, engine.stats().requests);
+          } else {
+            EXPECT_EQ(engine.stats().batches, engine.stats().requests);
+          }
         }
-        // Requests were actually coalesced, not served 1:1.
-        EXPECT_LT(engine.stats().batches, engine.stats().requests);
       }
     }
   }
@@ -765,49 +824,80 @@ TEST(FaultContainmentTest, ZeroRequestAndFullyRejectedServesKeepStatsFinite) {
   }
 }
 
+// The inputs every ladder test sweeps: both stack families, at window 1
+// (every forward a batch of one) and batched. FFN stacks take no mask, so
+// their requests are the transformer mix with the masks dropped.
+struct LadderCase {
+  const char* name;
+  const PlannedStack* stack;
+  int batch_window;
+  std::vector<ServeRequest> requests;
+};
+
+std::vector<LadderCase> LadderCases(const PlannedTransformerStack& transformer,
+                                    const PlannedFfnStack& ffn, const RequestMix& mix,
+                                    int batch_window) {
+  std::vector<ServeRequest> unmasked = mix.requests;
+  for (ServeRequest& req : unmasked) {
+    req.attn_mask = nullptr;
+  }
+  return {{"transformer/window1", &transformer, 1, mix.requests},
+          {"transformer/batched", &transformer, batch_window, mix.requests},
+          {"ffn/window1", &ffn, 1, unmasked},
+          {"ffn/batched", &ffn, batch_window, unmasked}};
+}
+
 // Rate-1.0 injection at every site: transient faults (retries immune, the
 // PIT_FAULT model) must leave every request kOk with bits identical to the
 // fault-free run, and the ledger must reconcile exactly — every injected
 // fault compensated by one retry or one degraded forward.
 TEST(FaultContainmentTest, EverySiteTransientFaultSweepStaysBitwise) {
   Rng wr(451);
-  PlannedTransformerStack stack(2, 32, 4, 96, wr);
+  PlannedTransformerStack transformer(2, 32, 4, 96, wr);
+  PlannedFfnStack ffn(2, 32, 96, wr);
   RequestMix mix = BuildMix(32, {5, 9, 16}, /*per_shape=*/2, /*seed=*/452);
-  ServingEngineOptions options;
-  options.num_streams = 4;
-  options.batch_window = 3;
-  options.max_batch_tokens = 64;
-  std::vector<ServeOutcome> clean;
-  {
-    ServingEngine engine(stack, options);
-    clean = engine.ServeWithStatus(mix.requests);
-  }
-  ScopedNumThreads threads(4);
-  for (int site = 0; site < kNumFaultSites; ++site) {
-    SCOPED_TRACE(FaultSiteName(static_cast<FaultSite>(site)));
-    FaultInjectionConfig config;
-    config.enabled = true;
-    config.site_enabled[site] = true;
-    config.rate = 1.0;
-    config.seed = 1000 + static_cast<uint64_t>(site);
-    config.stall_us = 2000;  // keep the stall leg wall-clock bounded
-    ScopedFaultInjection fault(config);
-    ServingEngine engine(stack, options);
-    const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      ASSERT_EQ(outcomes[i].status, ServeStatus::kOk);
-      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, clean[i].output));
+  for (const LadderCase& c : LadderCases(transformer, ffn, mix, /*batch_window=*/3)) {
+    SCOPED_TRACE(c.name);
+    ServingEngineOptions options;
+    options.num_streams = 4;
+    options.batch_window = c.batch_window;
+    options.max_batch_tokens = 64;
+    std::vector<ServeOutcome> clean;
+    {
+      ServingEngine engine(*c.stack, options);
+      clean = engine.ServeWithStatus(c.requests);
     }
-    const ServingEngineStats& stats = engine.stats();
-    if (static_cast<FaultSite>(site) == FaultSite::kStall) {
-      // A stall is a delay, not a failure: outputs stay bitwise, the fault
-      // ledger stays empty, and the sleeps are tallied on their own counter.
-      EXPECT_EQ(stats.faults_injected, 0);
-      EXPECT_GT(stats.stalls_injected, 0);
-    } else {
-      EXPECT_GT(stats.faults_injected, 0);
-      EXPECT_EQ(stats.internal_failures, 0);
-      EXPECT_EQ(stats.faults_injected, stats.retries + stats.degraded_forwards);
+    ScopedNumThreads threads(4);
+    for (int site = 0; site < kNumFaultSites; ++site) {
+      SCOPED_TRACE(FaultSiteName(static_cast<FaultSite>(site)));
+      FaultInjectionConfig config;
+      config.enabled = true;
+      config.site_enabled[site] = true;
+      config.rate = 1.0;
+      config.seed = 1000 + static_cast<uint64_t>(site);
+      config.stall_us = 2000;  // keep the stall leg wall-clock bounded
+      ScopedFaultInjection fault(config);
+      ServingEngine engine(*c.stack, options);
+      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(c.requests);
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        ASSERT_EQ(outcomes[i].status, ServeStatus::kOk);
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(outcomes[i].output, clean[i].output));
+      }
+      const ServingEngineStats& stats = engine.stats();
+      if (static_cast<FaultSite>(site) == FaultSite::kStall) {
+        // A stall is a delay, not a failure: outputs stay bitwise, the fault
+        // ledger stays empty, and the sleeps are tallied on their own counter.
+        EXPECT_EQ(stats.faults_injected, 0);
+        EXPECT_GT(stats.stalls_injected, 0);
+      } else if (static_cast<FaultSite>(site) == FaultSite::kBatchPack && c.batch_window == 1) {
+        // At window 1 every batch of one fills its bucket exactly: nothing
+        // is ever packed, so the pack site has nothing to fail.
+        EXPECT_EQ(stats.faults_injected, 0);
+      } else {
+        EXPECT_GT(stats.faults_injected, 0);
+        EXPECT_EQ(stats.internal_failures, 0);
+        EXPECT_EQ(stats.faults_injected, stats.retries + stats.degraded_forwards);
+      }
     }
   }
 }
@@ -817,40 +907,44 @@ TEST(FaultContainmentTest, EverySiteTransientFaultSweepStaysBitwise) {
 // and the engine must serve clean bitwise traffic again once injection stops.
 TEST(FaultContainmentTest, PersistentFaultsEndInInternalThenRecover) {
   Rng wr(461);
-  PlannedTransformerStack stack(2, 32, 4, 96, wr);
+  PlannedTransformerStack transformer(2, 32, 4, 96, wr);
+  PlannedFfnStack ffn(2, 32, 96, wr);
   RequestMix mix = BuildMix(32, {5, 9}, /*per_shape=*/2, /*seed=*/462);
-  ServingEngineOptions options;
-  options.num_streams = 2;
-  options.batch_window = 2;
-  std::vector<ServeOutcome> clean;
-  {
-    ServingEngine engine(stack, options);
-    clean = engine.ServeWithStatus(mix.requests);
-  }
-  for (FaultSite site : {FaultSite::kPlanCompile, FaultSite::kKernelDispatch}) {
-    SCOPED_TRACE(FaultSiteName(site));
-    ServingEngine engine(stack, options);
+  for (const LadderCase& c : LadderCases(transformer, ffn, mix, /*batch_window=*/2)) {
+    SCOPED_TRACE(c.name);
+    ServingEngineOptions options;
+    options.num_streams = 2;
+    options.batch_window = c.batch_window;
+    std::vector<ServeOutcome> clean;
     {
-      ScopedFaultInjection fault(site, 1.0, /*seed=*/77, /*fail_retries=*/true);
-      const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(mix.requests);
-      for (const ServeOutcome& outcome : outcomes) {
-        EXPECT_EQ(outcome.status, ServeStatus::kInternal);
-        EXPECT_TRUE(outcome.output.empty());
+      ServingEngine engine(*c.stack, options);
+      clean = engine.ServeWithStatus(c.requests);
+    }
+    for (FaultSite site : {FaultSite::kPlanCompile, FaultSite::kKernelDispatch}) {
+      SCOPED_TRACE(FaultSiteName(site));
+      ServingEngine engine(*c.stack, options);
+      {
+        ScopedFaultInjection fault(site, 1.0, /*seed=*/77, /*fail_retries=*/true);
+        const std::vector<ServeOutcome> outcomes = engine.ServeWithStatus(c.requests);
+        for (const ServeOutcome& outcome : outcomes) {
+          EXPECT_EQ(outcome.status, ServeStatus::kInternal);
+          EXPECT_TRUE(outcome.output.empty());
+        }
+        const ServingEngineStats& stats = engine.stats();
+        EXPECT_GT(stats.internal_failures, 0);
+        EXPECT_EQ(stats.faults_injected,
+                  stats.retries + stats.degraded_forwards + stats.internal_failures);
+      }
+      // Injection scope gone: the same engine must recover to clean bits.
+      const std::vector<ServeOutcome> recovered = engine.ServeWithStatus(c.requests);
+      for (size_t i = 0; i < recovered.size(); ++i) {
+        ASSERT_EQ(recovered[i].status, ServeStatus::kOk);
+        ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(recovered[i].output, clean[i].output));
       }
       const ServingEngineStats& stats = engine.stats();
-      EXPECT_GT(stats.internal_failures, 0);
       EXPECT_EQ(stats.faults_injected,
                 stats.retries + stats.degraded_forwards + stats.internal_failures);
     }
-    // Injection scope gone: the same engine must recover to clean bits.
-    const std::vector<ServeOutcome> recovered = engine.ServeWithStatus(mix.requests);
-    for (size_t i = 0; i < recovered.size(); ++i) {
-      ASSERT_EQ(recovered[i].status, ServeStatus::kOk);
-      ASSERT_NO_FATAL_FAILURE(ExpectBitwiseEqual(recovered[i].output, clean[i].output));
-    }
-    const ServingEngineStats& stats = engine.stats();
-    EXPECT_EQ(stats.faults_injected,
-              stats.retries + stats.degraded_forwards + stats.internal_failures);
   }
 }
 
